@@ -43,6 +43,13 @@ go test -race -timeout 300s -count=1 ./internal/cluster
 # detector watching the fan-out.
 go test -race -timeout 300s -count=1 \
     -run 'TestGEMM|TestArenaTrimReleasesOneOffPeak' ./internal/nn
+# The GBDT trainer carries one too: the presorted tree builder must grow
+# the reference per-node-sort builder's trees bit for bit, on synthetic
+# edge cases, on a real suite's utility training set and under a short
+# fuzz. The trainer is sequential, so these run without -race.
+go test -timeout 300s -count=1 \
+    -run 'TestTrainMatchesReference|TestSuiteUtilityMatchesReference' ./internal/gbdt
+go test -timeout 300s -run '^$' -fuzz FuzzTrainMatchesReference -fuzztime 15s ./internal/gbdt
 go test -race -timeout 300s ./...
 
 echo "== parallel scaling gate =="
@@ -61,6 +68,9 @@ go test -run='^$' -bench=CostBatch -benchtime=1x -timeout 120s ./internal/engine
 # allocs-per-decode budget (the tensor arena's dividend) and fails the
 # build if a change regresses past it.
 go test -run='^$' -bench=Rollout -benchtime=1x -timeout 120s ./internal/core
+# One training run of the learned utility model's recipe at both sample
+# counts: the GBDT builder is most of every suite's set-up.
+go test -run='^$' -bench=Train -benchtime=1x -timeout 120s ./internal/gbdt
 # Telemetry allocation gates: the disabled path (no scope in context)
 # and the enabled steady-state append must both stay zero-alloc, so
 # instrumented hot loops cost nothing when nobody is looking.

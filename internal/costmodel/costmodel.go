@@ -8,6 +8,8 @@ package costmodel
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/trap-repro/trap/internal/engine"
@@ -30,12 +32,22 @@ func gbdtConfig() gbdt.Config {
 
 // Train collects a dataset by drawing queries from nextQuery, planning
 // them under random relevant index configurations, extracting plan
-// features and labelling with the runtime cost, then fits the GBDT.
+// features and labelling with the runtime cost, then fits the GBDT. It
+// fails when no draw yields a sample.
 func Train(e *engine.Engine, nextQuery func() *sqlx.Query, samples int, seed int64) (*Model, error) {
+	feats, costs, misses := collect(e, nextQuery, samples, seed)
+	if len(feats) == 0 {
+		return nil, fmt.Errorf("costmodel: no training sample in %d draws", misses)
+	}
+	return &Model{m: gbdt.Train(feats, costs, gbdtConfig())}, nil
+}
+
+// collect draws up to samples labelled plan-feature rows, giving up after
+// 10× as many misses. A draw misses when planning or costing fails, or
+// when a feature or the label is not finite, which gbdt.Train cannot
+// take.
+func collect(e *engine.Engine, nextQuery func() *sqlx.Query, samples int, seed int64) (feats [][]float64, costs []float64, misses int) {
 	rng := rand.New(rand.NewSource(seed))
-	var feats [][]float64
-	var costs []float64
-	misses := 0
 	for len(feats) < samples && misses < samples*10 {
 		q := nextQuery()
 		cfg := RandomConfig(e.Schema(), q, rng)
@@ -49,11 +61,27 @@ func Train(e *engine.Engine, nextQuery func() *sqlx.Query, samples int, seed int
 			misses++
 			continue
 		}
-		feats = append(feats, engine.PlanFeatures(p))
+		f := engine.PlanFeatures(p)
+		if !finite(rc, f) {
+			misses++
+			continue
+		}
+		feats = append(feats, f)
 		costs = append(costs, rc)
 	}
-	m := gbdt.Train(feats, costs, gbdtConfig())
-	return &Model{m: m}, nil
+	return feats, costs, misses
+}
+
+func finite(label float64, feats []float64) bool {
+	if math.IsNaN(label) || math.IsInf(label, 0) {
+		return false
+	}
+	for _, v := range feats {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // TrainOnWorkloads fits the model from the queries of training workloads
@@ -67,14 +95,12 @@ func TrainOnWorkloads(e *engine.Engine, ws []*workload.Workload, samplesPerQuery
 	if len(queries) == 0 || samplesPerQuery < 1 {
 		samplesPerQuery = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
 	i := 0
 	next := func() *sqlx.Query {
 		q := queries[i%len(queries)]
 		i++
 		return q
 	}
-	_ = rng
 	return Train(e, next, len(queries)*samplesPerQuery, seed)
 }
 
@@ -147,25 +173,6 @@ func (u *Model) UtilityCtx(ctx context.Context, e *engine.Engine, w *workload.Wo
 
 // R2 evaluates the model against runtime costs on fresh samples.
 func (u *Model) R2(e *engine.Engine, nextQuery func() *sqlx.Query, samples int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	var feats [][]float64
-	var costs []float64
-	misses := 0
-	for len(feats) < samples && misses < samples*10 {
-		q := nextQuery()
-		cfg := RandomConfig(e.Schema(), q, rng)
-		p, err := e.Plan(q, cfg, engine.ModeEstimated)
-		if err != nil {
-			misses++
-			continue
-		}
-		rc, err := e.RuntimeCost(q, cfg)
-		if err != nil {
-			misses++
-			continue
-		}
-		feats = append(feats, engine.PlanFeatures(p))
-		costs = append(costs, rc)
-	}
+	feats, costs, _ := collect(e, nextQuery, samples, seed)
 	return u.m.R2(feats, costs)
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/trap-repro/trap/internal/bench"
 	"github.com/trap-repro/trap/internal/engine"
 	"github.com/trap-repro/trap/internal/schema"
+	"github.com/trap-repro/trap/internal/stats"
 	"github.com/trap-repro/trap/internal/workload"
 )
 
@@ -87,6 +88,28 @@ func TestTrainOnWorkloads(t *testing.T) {
 	u, err := m.Utility(e, w, nil, nil)
 	if err != nil || u != 0 {
 		t.Errorf("self-utility = %v (%v), want 0", u, err)
+	}
+}
+
+func TestTrainWithoutSamplesFails(t *testing.T) {
+	e, _ := setup(t)
+	if m, err := TrainOnWorkloads(e, nil, 4, 5); err == nil || m != nil {
+		t.Errorf("TrainOnWorkloads without workloads = %v, %v; want an error", m, err)
+	}
+}
+
+func TestTrainSkipsNonFiniteSamples(t *testing.T) {
+	// A NaN NDV bias poisons every estimated plan's features: each draw
+	// must count as a miss, leaving nothing to train on.
+	s := bench.TPCH(100)
+	e := engine.NewWithError(s, stats.EstimationError{NDVAmp: math.NaN()})
+	gen := workload.NewGenerator(s, 17, 10)
+	feats, _, misses := collect(e, gen.Query, 20, 1)
+	if len(feats) != 0 || misses != 200 {
+		t.Errorf("collect kept %d samples with %d misses, want 0 and 200", len(feats), misses)
+	}
+	if m, err := Train(e, gen.Query, 20, 1); err == nil || m != nil {
+		t.Errorf("Train on non-finite features = %v, %v; want an error", m, err)
 	}
 }
 

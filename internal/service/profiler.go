@@ -52,7 +52,8 @@ type profiler struct {
 	cpuWindow time.Duration
 	log       *olog.Logger
 
-	busy atomic.Bool
+	busy     atomic.Bool
+	stopOnce sync.Once
 
 	mu       sync.Mutex
 	captures []profileCapture // newest last
@@ -92,6 +93,16 @@ func (p *profiler) onSpanEnd(se trace.SpanEnd) {
 		return
 	}
 	go p.capture(se)
+}
+
+// stop keeps further captures from starting and waits for the one in
+// flight, if any, so no capture writes into the directory after Close.
+func (p *profiler) stop() {
+	p.stopOnce.Do(func() {
+		for !p.busy.CompareAndSwap(false, true) {
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
 // capture writes the heap profile immediately, then profiles CPU for

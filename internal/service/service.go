@@ -629,10 +629,13 @@ func (s *Server) publishState(id string) (rejected bool) {
 }
 
 // Close releases the server's durable resources (the job log, the
-// fleet attachment). Safe to call more than once; serving continues
-// degraded if it ever races an in-flight append (appends after close
-// fail soft).
+// fleet attachment) and waits out an in-flight profile capture. Safe
+// to call more than once; serving continues degraded if it ever races
+// an in-flight append (appends after close fail soft).
 func (s *Server) Close() error {
+	if s.prof != nil {
+		s.prof.stop()
+	}
 	if s.metricsStop != nil {
 		s.metricsOnce.Do(func() {
 			close(s.metricsStop)
