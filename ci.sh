@@ -50,6 +50,16 @@ go test -race -timeout 300s -count=1 \
 go test -timeout 300s -count=1 \
     -run 'TestTrainMatchesReference|TestSuiteUtilityMatchesReference' ./internal/gbdt
 go test -timeout 300s -run '^$' -fuzz FuzzTrainMatchesReference -fuzztime 15s ./internal/gbdt
+# And the planner: plans built over a memoized planning skeleton must be
+# the reference planner's bit for bit (generated and perturbed workloads
+# on three schemas, both modes, every error), a query's skeletons must
+# be keyed by engine, dropped by Invalidate and never pin their engine,
+# and racing first plans of one query must agree (-race -count=10).
+go test -timeout 300s -count=1 \
+    -run 'TestPlanMatchesReference|TestPlanErrorsMatchReference|TestSkeletonKeyedByEngine|TestQueryMemoInvalidation|TestPlannedQueryDoesNotPinEngine' \
+    ./internal/engine
+go test -timeout 300s -run '^$' -fuzz FuzzPlanMatchesReference -fuzztime 15s ./internal/engine
+go test -race -timeout 300s -count=10 -run 'TestConcurrentSkeletonBuild' ./internal/engine
 go test -race -timeout 300s ./...
 
 echo "== parallel scaling gate =="
@@ -64,6 +74,9 @@ echo "== benchmark smoke =="
 # One iteration of every CostBatch benchmark: catches bit-rot in the
 # benchmark harness and any pathological slowdown of the costing path.
 go test -run='^$' -bench=CostBatch -benchtime=1x -timeout 120s ./internal/engine
+# One op of each planner micro-benchmark: a first plan of a fresh query,
+# and a plan of an already-planned query under a new configuration.
+go test -run='^$' -bench='PlanCold|PlanWarmQuery' -benchtime=1x -timeout 120s ./internal/engine
 # Allocation-regression smoke: BenchmarkRollout asserts a hard
 # allocs-per-decode budget (the tensor arena's dividend) and fails the
 # build if a change regresses past it.

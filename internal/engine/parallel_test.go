@@ -322,4 +322,28 @@ func TestQueryMemoInvalidation(t *testing.T) {
 	if p1.Rows == p2.Rows && p1.Cost == p2.Cost {
 		t.Fatal("clone with a far looser predicate planned identically: stale memo in cache key")
 	}
+
+	// Mutating a planned query in place and invalidating it must drop
+	// its skeletons too: the next plan is the mutated query's.
+	j := sqlx.MustParse("SELECT orders.total FROM orders, customers " +
+		"WHERE orders.cust_id = customers.id AND customers.region = 'region_3'")
+	jcfg := cfg.Add(schema.Index{Table: "orders", Columns: []string{"cust_id"}})
+	for _, mode := range []Mode{ModeEstimated, ModeTrue} {
+		if _, err := e.Plan(j, jcfg, mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before2, _ := e.plan(j, jcfg, ModeEstimated)
+	j.Filters[0] = sqlx.Predicate{Col: sqlx.ColumnRef{Table: "orders", Column: "total"}, Op: sqlx.OpLt, Val: sqlx.NumDatum(10)}
+	j.Invalidate()
+	for _, mode := range []Mode{ModeEstimated, ModeTrue} {
+		want, wantErr := e.refPlan(j, jcfg, mode)
+		got, err := e.Plan(j, jcfg, mode)
+		if d := DiffResults(got, err, want, wantErr); d != "" {
+			t.Fatalf("%s mode: plan after in-place mutation: %s", mode, d)
+		}
+	}
+	if after, _ := e.plan(j, jcfg, ModeEstimated); DiffResults(after, nil, before2, nil) == "" {
+		t.Fatal("the mutation did not change the plan; the check proves nothing")
+	}
 }

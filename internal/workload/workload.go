@@ -119,7 +119,10 @@ func Cost(e *engine.Engine, w *Workload, cfg schema.Config, mode engine.Mode) (f
 // RuntimeCostCtx: the advisor's greedy what-if loop prices the same
 // workload hundreds of times, and a fresh conversion slice per call
 // dominated this package's allocation profile. The engine does not
-// retain the slice past the batch call, so pooling is safe.
+// retain the slice past the batch call, so pooling is safe. A slice goes
+// back cleared (putCostItems): a pooled slice holding query pointers
+// would keep the last workloads' queries, and everything memoized on
+// them, alive until the pool drains.
 var costItemsPool = sync.Pool{New: func() any { return new([]engine.CostItem) }}
 
 func costItems(w *Workload) *[]engine.CostItem {
@@ -136,13 +139,18 @@ func costItems(w *Workload) *[]engine.CostItem {
 	return p
 }
 
+func putCostItems(p *[]engine.CostItem) {
+	clear(*p)
+	costItemsPool.Put(p)
+}
+
 // CostCtx is Cost with cooperative cancellation: costing stops at the
 // next query boundary once ctx is done.
 func CostCtx(ctx context.Context, e *engine.Engine, w *Workload, cfg schema.Config, mode engine.Mode) (float64, error) {
 	mCostEvals.Inc()
 	p := costItems(w)
 	c, err := e.CostBatch(ctx, *p, cfg, mode)
-	costItemsPool.Put(p)
+	putCostItems(p)
 	return c, err
 }
 
@@ -158,7 +166,7 @@ func RuntimeCostCtx(ctx context.Context, e *engine.Engine, w *Workload, cfg sche
 	mRuntimeEvals.Inc()
 	p := costItems(w)
 	c, err := e.RuntimeBatch(ctx, *p, cfg)
-	costItemsPool.Put(p)
+	putCostItems(p)
 	return c, err
 }
 

@@ -154,6 +154,40 @@ func TestCostAndUtility(t *testing.T) {
 	}
 }
 
+// TestCostReleasesQueries: once Cost or RuntimeCost returns, the pooled
+// CostItem slice must hold no query pointer.
+func TestCostReleasesQueries(t *testing.T) {
+	g, e := tpchGen(t, 3)
+	w := g.Workload(6)
+	for _, cost := range []func() error{
+		func() error { _, err := Cost(e, w, nil, engine.ModeEstimated); return err },
+		func() error { _, err := RuntimeCost(e, w, nil); return err },
+	} {
+		checked := false
+		// sync.Pool may hand back a fresh slice instead of the one the
+		// call returned (under -race it drops some Puts), so retry until
+		// the call's own slice comes back.
+		for try := 0; try < 100 && !checked; try++ {
+			if err := cost(); err != nil {
+				t.Fatal(err)
+			}
+			p := costItemsPool.Get().(*[]engine.CostItem)
+			if cap(*p) > 0 {
+				for i, it := range (*p)[:cap(*p)] {
+					if it.Q != nil {
+						t.Fatalf("pooled slot %d still holds query %s", i, it.Q)
+					}
+				}
+				checked = true
+			}
+			costItemsPool.Put(p)
+		}
+		if !checked {
+			t.Fatal("the pool never returned a used slice")
+		}
+	}
+}
+
 // TestRuntimeCostCtxCancellation covers the runtime-costing bugfix: a
 // canceled context aborts RuntimeCostCtx and UtilityCtx with the
 // context's error instead of draining the full costing loop, and the
