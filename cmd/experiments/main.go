@@ -5,7 +5,6 @@
 //	experiments -exp fig6 [-datasets tpch,tpcds,transaction] [-advisors Extend,SWIRL]
 //	            [-methods Random,GRU,Seq2Seq,TRAP] [-scale quick|full] [-seed 42]
 //	experiments -exp all   # every experiment at the chosen scale
-//	experiments -bench [-bench-out BENCH_train.json]   # performance harness
 //
 // Experiments: fig1 tab1 fig6 fig7 tab4 fig8 fig9 fig10 fig11 fig12 fig13
 // fig14 fig15 fig16 fig17, plus "oscillation" (the Section V-B
@@ -36,17 +35,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	genQueries := flag.Int("genqueries", 200, "queries to time for Table IV")
 	format := flag.String("format", "text", "text or json")
-	doBench := flag.Bool("bench", false, "run the performance harness instead of an experiment")
-	benchOut := flag.String("bench-out", "BENCH_train.json", "output path for -bench JSON results")
 	flag.Parse()
-
-	if *doBench {
-		if err := runBench(*benchOut, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	emit := func(t *assess.Table) {
 		if *format == "json" {

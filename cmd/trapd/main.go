@@ -11,10 +11,11 @@
 //	      [-request-timeout 30s] [-job-timeout 15m] [-max-body 1048576]
 //	      [-max-retries 2] [-retry-backoff 100ms] [-job-ttl 1h] [-gc-interval 1m]
 //	      [-spool DIR] [-checkpoint-every 1] [-inject SPEC] [-pprof]
-//	      [-joblog DIR] [-node-id NAME] [-lease-ttl 15s] [-heartbeat 5s]
-//	      [-tenant-qps N] [-tenant-burst N] [-priority-queue]
+//	      [-joblog DIR] [-tenant-qps N] [-tenant-burst N] [-priority-queue]
 //	      [-log-level info] [-log-format text|json]
 //	      [-trace-recent 64] [-trace-slow 8] [-trace-every 1]
+//	      [-profile-dir DIR] [-profile-threshold 1s] [-profile-keep 8]
+//	      [-profile-cpu-window 1s]
 //
 // trapd shuts down gracefully on SIGINT/SIGTERM: the listener closes,
 // in-flight requests and running assessment jobs drain, and queued jobs
@@ -36,16 +37,12 @@
 //	trapd -joblog /var/lib/trapd/joblog -spool /var/lib/trapd/spool \
 //	      -tenant-qps 5 -tenant-burst 10 -priority-queue
 //
-// -node-id turns the job log into a shared fleet namespace: nodes
-// register via heartbeat records, claim jobs through lease records
-// carrying a monotonic fencing epoch, and take over the jobs of a node
-// whose lease expires (resuming mid-training from the shared -spool).
-// A paused or partitioned node that wakes after losing its lease is
-// fenced — its stale appends are rejected and its in-flight training
-// cancelled — so every job completes exactly once:
-//
-//	trapd -node-id n1 -joblog /shared/joblog -spool /shared/spool \
-//	      -lease-ttl 15s -heartbeat 5s
+// One trapd writes each of -joblog, -spool and -profile-dir: it locks
+// them at startup, before building any suite, and a second trapd on a
+// locked directory exits at once with an error naming it. A standby is
+// that second trapd under a supervisor that restarts it until the first
+// process is gone; it then replays the log and resumes the interrupted
+// jobs from the spool.
 //
 // -train-workers and -assess-workers bound the RL rollout pool and the
 // per-workload measurement pool inside each job; results are
@@ -92,10 +89,7 @@ func main() {
 	gcInterval := flag.Duration("gc-interval", time.Minute, "job garbage-collection interval")
 	spool := flag.String("spool", "", "checkpoint spool directory (empty disables checkpoint/resume)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "RL epochs between training checkpoints")
-	joblogDir := flag.String("joblog", "", "durable job-log directory (empty disables job durability)")
-	nodeID := flag.String("node-id", "", "fleet node name: joins the cluster sharing -joblog as one job namespace (empty = single-node)")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "job lease time-to-live before a peer may take over (cluster mode)")
-	heartbeat := flag.Duration("heartbeat", 0, "node heartbeat/renewal interval (default: lease-ttl/3; cluster mode)")
+	joblogDir := flag.String("joblog", "", "durable job-log directory, locked by this trapd (empty disables job durability)")
 	tenantQPS := flag.Float64("tenant-qps", 0, "per-tenant job submission rate (0 disables quotas)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant submission burst (default: ceil of -tenant-qps)")
 	priorityQueue := flag.Bool("priority-queue", false, "honor the X-Trap-Priority header (interactive before batch)")
@@ -110,7 +104,6 @@ func main() {
 	profileThreshold := flag.Duration("profile-threshold", 0, "span duration that triggers a profile capture (default 1s)")
 	profileKeep := flag.Int("profile-keep", 0, "profile captures retained before the oldest is pruned (default 8)")
 	profileCPUWindow := flag.Duration("profile-cpu-window", 0, "CPU-profile window captured after a slow span (default 1s)")
-	metricsInterval := flag.Duration("metrics-interval", 0, "fleet metrics publish interval (cluster mode; default 5s)")
 	flag.Parse()
 
 	level, err := olog.ParseLevel(*logLevel)
@@ -154,39 +147,35 @@ func main() {
 	}
 
 	srv, err := service.NewServer(service.Config{
-		Addr:              *addr,
-		Datasets:          names,
-		Params:            p,
-		Seed:              *seed,
-		Workers:           *workers,
-		CostWorkers:       *costWorkers,
-		TrainWorkers:      *trainWorkers,
-		AssessWorkers:     *assessWorkers,
-		QueueDepth:        *queue,
-		RequestTimeout:    *reqTimeout,
-		JobTimeout:        *jobTimeout,
-		MaxBodyBytes:      *maxBody,
-		MaxRetries:        *maxRetries,
-		RetryBackoff:      *retryBackoff,
-		JobTTL:            *jobTTL,
-		GCInterval:        *gcInterval,
-		SpoolDir:          *spool,
-		CheckpointEvery:   *ckptEvery,
-		JobLogDir:         *joblogDir,
-		NodeID:            *nodeID,
-		LeaseTTL:          *leaseTTL,
-		HeartbeatInterval: *heartbeat,
-		TenantQPS:         *tenantQPS,
-		TenantBurst:       *tenantBurst,
-		PriorityQueue:     *priorityQueue,
-		Injector:          injector,
-		EnablePprof:       *enablePprof,
-		ProfileDir:        *profileDir,
-		ProfileThreshold:  *profileThreshold,
-		ProfileKeep:       *profileKeep,
-		ProfileCPUWindow:  *profileCPUWindow,
-		MetricsInterval:   *metricsInterval,
-		Logger:            logger,
+		Addr:             *addr,
+		Datasets:         names,
+		Params:           p,
+		Seed:             *seed,
+		Workers:          *workers,
+		CostWorkers:      *costWorkers,
+		TrainWorkers:     *trainWorkers,
+		AssessWorkers:    *assessWorkers,
+		QueueDepth:       *queue,
+		RequestTimeout:   *reqTimeout,
+		JobTimeout:       *jobTimeout,
+		MaxBodyBytes:     *maxBody,
+		MaxRetries:       *maxRetries,
+		RetryBackoff:     *retryBackoff,
+		JobTTL:           *jobTTL,
+		GCInterval:       *gcInterval,
+		SpoolDir:         *spool,
+		CheckpointEvery:  *ckptEvery,
+		JobLogDir:        *joblogDir,
+		TenantQPS:        *tenantQPS,
+		TenantBurst:      *tenantBurst,
+		PriorityQueue:    *priorityQueue,
+		Injector:         injector,
+		EnablePprof:      *enablePprof,
+		ProfileDir:       *profileDir,
+		ProfileThreshold: *profileThreshold,
+		ProfileKeep:      *profileKeep,
+		ProfileCPUWindow: *profileCPUWindow,
+		Logger:           logger,
 		Tracer: trace.New(trace.Options{
 			Recent: *traceRecent, SlowPerOp: *traceSlow, Every: *traceEvery,
 		}),

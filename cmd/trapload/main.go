@@ -1,25 +1,16 @@
 // Command trapload is the service-level load harness: it boots an
 // in-process trapd server and slams it with concurrent assessment
 // submissions across many tenants, honoring Retry-After on every shed,
-// then waits for the fleet of jobs to finish and writes the measured
-// SLOs (admission latency, queue wait, throughput, shed counts, tenant
+// then waits for all the jobs to finish and writes the measured SLOs
+// (admission latency, queue wait, throughput, shed counts, tenant
 // fairness) as JSON:
 //
 //	trapload -jobs 1000 -clients 64 -tenants 8 -out BENCH_service.json
 //
-// With -chaos-nodes N it instead runs the multi-node chaos drill: N
-// in-process fleet nodes share one job namespace, the node owning a
-// running RL-training job is killed mid-training, and the measured
-// failover SLOs (takeover latency, exactly-once completion) are written
-// to the report's "chaos" section:
-//
-//	trapload -chaos-nodes 3 -chaos-jobs 2 -out BENCH_chaos.json
-//
-// The harness exercises the whole cluster-grade job path — admission
-// quotas (429), capacity shedding (503), the priority queue, the worker
-// pool, and job GC bookkeeping — without a network: clients drive
-// http.Handler directly, so the latencies are the service's own, not
-// the kernel's. Exit status is non-zero when an SLO is violated (a job
+// The harness exercises the whole job path — admission quotas (429),
+// capacity shedding (503), the priority queue, the worker pool, and job
+// GC bookkeeping — without a network: clients drive http.Handler
+// directly, so the latencies are the service's own, not the kernel's. Exit status is non-zero when an SLO is violated (a job
 // never completed, a shed response lacked Retry-After, or admission
 // p99 exceeded -slo-admit-p99).
 package main
@@ -28,6 +19,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -40,6 +33,7 @@ import (
 
 	"github.com/trap-repro/trap/internal/assess"
 	"github.com/trap-repro/trap/internal/obs"
+	olog "github.com/trap-repro/trap/internal/obs/log"
 	"github.com/trap-repro/trap/internal/service"
 )
 
@@ -97,7 +91,7 @@ type report struct {
 	FairnessRatio float64 `json:"fairness_ratio"` // max/min done per tenant
 
 	// Telemetry-scrape latency: GET /v1/jobs/{id}/telemetry issued
-	// continuously while the job fleet runs, measuring how expensive the
+	// continuously while the jobs run, measuring how expensive the
 	// observability read path is under load.
 	TelemetryScrapes     int     `json:"telemetry_scrapes"`
 	TelemetryScrapeP50Ms float64 `json:"telemetry_scrape_p50_ms"`
@@ -121,17 +115,7 @@ func main() {
 	sloAdmitP99 := flag.Duration("slo-admit-p99", 250*time.Millisecond, "admission latency p99 budget")
 	timeout := flag.Duration("timeout", 15*time.Minute, "whole-run deadline")
 	out := flag.String("out", "BENCH_service.json", "output path for the JSON report")
-	chaosNodes := flag.Int("chaos-nodes", 0, "run the multi-node chaos drill with N fleet nodes instead of the load run (0 disables)")
-	chaosJobs := flag.Int("chaos-jobs", 2, "RL-training jobs the chaos drill submits across the fleet")
 	flag.Parse()
-
-	if *chaosNodes > 0 {
-		if err := runChaos(*chaosNodes, *chaosJobs, *seed, *timeout, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "trapload:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if err := run(*jobs, *clients, *tenants, *workers, *queue, *tenantQPS, *tenantBurst,
 		*interactiveEvery, *seed, *maxAttempts, *sloAdmitP99, *timeout, *out); err != nil {
@@ -153,7 +137,7 @@ func run(jobs, clients, tenants, workers, queue int, tenantQPS float64, tenantBu
 		TenantBurst:   tenantBurst,
 		PriorityQueue: true,
 		Registry:      obs.NewRegistry(),
-		Logf:          func(string, ...any) {},
+		Logger:        olog.New(io.Discard, slog.LevelInfo, olog.FormatText),
 	})
 	if err != nil {
 		return err
@@ -249,7 +233,7 @@ func run(jobs, clients, tenants, workers, queue int, tenantQPS float64, tenantBu
 	fmt.Fprintf(os.Stderr, "trapload: submitted %d jobs in %.1fs (quota sheds %d, capacity sheds %d, retries %d)\n",
 		accepted.Load(), time.Since(start).Seconds(), shedQuota.Load(), shedCapacity.Load(), retries.Load())
 
-	// Scrape job telemetry continuously while the fleet drains, so the
+	// Scrape job telemetry continuously while the jobs drain, so the
 	// report captures the observability read path's latency under load.
 	var scrapeLat []time.Duration
 	scrapeStop := make(chan struct{})

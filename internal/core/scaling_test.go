@@ -76,7 +76,7 @@ func minEpochSeconds(t *testing.T, tf *trainFixture, fw *Framework, workers, run
 // machine there is nothing to win, so the gate only rejects genuine
 // slowdowns (lock contention, shared scratch, false sharing) with a
 // noise margin, rather than demanding a speedup CI hardware cannot
-// deliver; the recorded speedups live in BENCH_train.json.
+// deliver; measure speedups with BenchmarkRLTrain (go test -bench).
 func TestRLTrainScalingGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short")

@@ -40,13 +40,6 @@ const (
 	// the frame hits the file. An injected error is treated exactly like
 	// a write/fsync failure (e.g. ENOSPC): the log degrades to read-only.
 	PointJoblogAppend = "joblog.append"
-	// PointHeartbeat fires at the top of every cluster heartbeat tick.
-	// An injected delay stalls the node's heartbeat loop (simulating a
-	// long GC pause or scheduler stall); an injected error drops beats.
-	PointHeartbeat = "cluster.heartbeat"
-	// PointLeaseAppend fires before a node appends a lease-claim record,
-	// so claim races and claim-path write failures are drillable.
-	PointLeaseAppend = "cluster.lease.append"
 )
 
 // Injector decides at each named point whether to inject a fault. Fire

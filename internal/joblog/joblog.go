@@ -39,9 +39,17 @@
 // unknown state, so the log does not guess: the first such failure
 // permanently degrades the log to read-only. Every later Append returns
 // ErrDegraded (wrapping the original cause) and Degraded()/Stats report
-// it, letting the owning node drain instead of acknowledging writes it
+// it, letting the owning server drain instead of acknowledging writes it
 // cannot make durable. Recovery is a process restart: Open replays the
 // good prefix and truncates any torn tail as usual.
+//
+// # One writer
+//
+// Open locks the directory (see DirLock) for the life of the Log, so a
+// second Open of a live directory fails with ErrLocked instead of
+// interleaving its appends with the first writer's. Close releases the
+// lock, and so does the death of the process: a standby that retries
+// Open takes over as soon as the writer is gone.
 //
 // All methods are safe for concurrent use.
 package joblog
@@ -131,6 +139,7 @@ type Stats struct {
 type Log struct {
 	dir  string
 	opts Options
+	lock *DirLock
 
 	mu      sync.Mutex
 	f       *os.File // active segment
@@ -149,25 +158,36 @@ var errClosed = errors.New("joblog: log is closed")
 // ErrDegraded is returned (wrapped around the original failure) by every
 // Append after a write or fsync error has left the on-disk tail in an
 // unknown state. The log is read-only from that point on; the owning
-// node should stop acknowledging new work and drain.
+// server should stop acknowledging new work and drain.
 var ErrDegraded = errors.New("joblog: degraded, log is read-only")
 
-// Open opens (or creates) the log in dir, replays every recoverable
-// record into o.Replay, recovers from a torn tail, and leaves the log
-// positioned for appends.
+// Open opens (or creates) the log in dir, takes the directory's lock,
+// replays every recoverable record into o.Replay, recovers from a torn
+// tail, and leaves the log positioned for appends. A directory another
+// writer holds fails with ErrLocked; a failed Open releases the lock.
 func Open(dir string, o Options) (*Log, error) {
 	o.fill()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("joblog: %w", err)
-	}
-	l := &Log{dir: dir, opts: o, nextSeq: 1}
-	nums, err := l.segmentNums()
+	lock, err := LockDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	l := &Log{dir: dir, opts: o, lock: lock, nextSeq: 1}
+	if err := l.load(); err != nil {
+		lock.Unlock()
+		return nil, err
+	}
+	return l, nil
+}
+
+// load replays every segment and opens the last one for appends.
+func (l *Log) load() error {
+	nums, err := l.segmentNums()
+	if err != nil {
+		return err
+	}
 	for i, n := range nums {
 		if err := l.replaySegment(n, i == len(nums)-1); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Append into the last existing segment, or start the first one.
@@ -175,10 +195,7 @@ func Open(dir string, o Options) (*Log, error) {
 	if len(nums) > 0 {
 		num = nums[len(nums)-1]
 	}
-	if err := l.openSegment(num); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return l.openSegment(num)
 }
 
 // segPath names segment n.
@@ -470,7 +487,8 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Close syncs and closes the active segment. Appends after Close fail.
+// Close syncs and closes the active segment and releases the directory
+// lock. Appends after Close fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -478,6 +496,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	defer l.lock.Unlock()
 	if !l.opts.NoSync {
 		if err := l.f.Sync(); err != nil {
 			l.f.Close()

@@ -62,14 +62,6 @@ func New(w io.Writer, level slog.Level, format string) *Logger {
 	return &Logger{sl: slog.New(&ctxHandler{inner: h})}
 }
 
-// NewLogf adapts a printf-style sink (the legacy Config.Logf contract)
-// into a Logger: records render as "msg k=v ..." through logf, with the
-// context attributes appended like any other. Level filtering is the
-// sink's problem — everything at info and above is forwarded.
-func NewLogf(logf func(format string, args ...any)) *Logger {
-	return &Logger{sl: slog.New(&ctxHandler{inner: &logfHandler{logf: logf}})}
-}
-
 // Debug logs at debug level; args are alternating key/value pairs.
 func (l *Logger) Debug(ctx context.Context, msg string, args ...any) {
 	l.sl.DebugContext(ctx, msg, args...)
@@ -132,34 +124,3 @@ func (h *ctxHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 func (h *ctxHandler) WithGroup(name string) slog.Handler {
 	return &ctxHandler{inner: h.inner.WithGroup(name)}
 }
-
-// logfHandler renders records through a printf-style sink.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h *logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	emit := func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-		return true
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(emit)
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &logfHandler{logf: h.logf, attrs: append(append([]slog.Attr{}, h.attrs...), attrs...)}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }

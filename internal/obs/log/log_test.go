@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -60,23 +59,6 @@ func TestTextOmitsIDsWithoutContext(t *testing.T) {
 	out := b.String()
 	if strings.Contains(out, "job=") || strings.Contains(out, "trace=") {
 		t.Fatalf("unexpected IDs on bare context: %s", out)
-	}
-}
-
-func TestLogfAdapter(t *testing.T) {
-	var lines []string
-	l := NewLogf(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	ctx := WithJob(context.Background(), "job-9")
-	l.Debug(ctx, "dropped")
-	l.Info(ctx, "forwarded", "x", 2)
-	if len(lines) != 1 {
-		t.Fatalf("lines: %v", lines)
-	}
-	if !strings.Contains(lines[0], "forwarded") || !strings.Contains(lines[0], "x=2") ||
-		!strings.Contains(lines[0], "job=job-9") {
-		t.Fatalf("adapter line: %q", lines[0])
 	}
 }
 

@@ -24,14 +24,6 @@ type ckptStore struct {
 	seed int64
 }
 
-// newCkptStore prepares the spool directory (created if missing).
-func newCkptStore(dir string, seed int64) (*ckptStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: spool dir: %w", err)
-	}
-	return &ckptStore{dir: dir, seed: seed}, nil
-}
-
 // path derives the spool file for a job's assessment identity.
 func (c *ckptStore) path(j Job) string {
 	key := fmt.Sprintf("%s|%s|%s|%s|%d", j.Dataset, j.Advisor, j.Method, j.Constraint, c.seed)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,6 +21,7 @@ import (
 
 	"github.com/trap-repro/trap/internal/admission"
 	"github.com/trap-repro/trap/internal/faultinject"
+	"github.com/trap-repro/trap/internal/joblog"
 	"github.com/trap-repro/trap/internal/obs"
 )
 
@@ -47,7 +49,7 @@ func clusterServer(t *testing.T) *Server {
 			PriorityQueue: true,
 			SSEHeartbeat:  50 * time.Millisecond,
 			Registry:      obs.NewRegistry(),
-			Logf:          func(string, ...any) {},
+			Logger:        discardLogger(),
 		})
 	})
 	if clusterErr != nil {
@@ -603,6 +605,114 @@ func TestCancelGCNoResurrectionNoLeak(t *testing.T) {
 	}
 }
 
+// TestJobLogReplaySkipsFleetRecords replays a log written by a release
+// that also logged leases, heartbeats, metric snapshots, progress and
+// cancels (and stamped a node and lease epoch on every job): replay
+// skips those record types and restores the jobs themselves.
+func TestJobLogReplaySkipsFleetRecords(t *testing.T) {
+	dir := t.TempDir()
+	l, err := joblog.Open(dir, joblog.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fleetJob struct {
+		Job
+		Node  string `json:"node"`
+		Epoch uint64 `json:"leaseEpoch"`
+	}
+	now := time.Now()
+	done := fleetJob{Job{ID: "job-1", Status: JobDone, Dataset: "tpch", Advisor: "Drop",
+		Method: "Random", Created: now, Finished: &now,
+		Result: &JobResult{MeanIUDR: 0.25, Workloads: 3, Pairs: 9}}, "n1", 2}
+	running := fleetJob{Job{ID: "job-2", Status: JobRunning, Dataset: "tpch", Advisor: "Drop",
+		Method: "Random", Created: now, Started: &now}, "n2", 1}
+	for _, r := range []struct {
+		typ, job string
+		data     any
+	}{
+		{"node-heartbeat", "", map[string]string{"node": "n1"}},
+		{recSubmit, "job-1", fleetJob{Job{ID: "job-1", Status: JobPending, Dataset: "tpch",
+			Advisor: "Drop", Method: "Random", Created: now}, "", 0}},
+		{"lease-claim", "job-1", map[string]any{"node": "n1", "epoch": 1, "deadline": now}},
+		{"progress", "job-1", map[string]any{"epoch": 1}},
+		{"lease-claim", "job-1", map[string]any{"node": "n1", "epoch": 2, "takeover": true}},
+		{recState, "job-1", done},
+		{"node-metrics", "", map[string]any{"node": "n1", "metrics": map[string]float64{"x": 1}}},
+		{recSubmit, "job-2", running},
+		{"lease-claim", "job-2", map[string]any{"node": "n2", "epoch": 1}},
+		{"cancel", "job-3", nil},
+		{"lease-release", "job-2", map[string]any{"node": "n2", "epoch": 1}},
+	} {
+		if _, err := l.Append(r.typ, r.job, r.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newFaultServer(t, func(c *Config) { c.JobLogDir = dir })
+	defer s.Close()
+	if n := s.jobs.size(); n != 2 {
+		t.Fatalf("restored %d jobs, want 2: %+v", n, s.jobs.list())
+	}
+	got, _ := s.jobs.get("job-1")
+	if got.Status != JobDone || got.Result == nil || *got.Result != *done.Result {
+		t.Fatalf("restored done job: %+v", got)
+	}
+	rj := pollTerminal(t, s.Handler(), "job-2", time.Minute)
+	if rj.Status != JobDone || !rj.Restored {
+		t.Fatalf("restored interrupted job ended %s (restored=%v, %s)", rj.Status, rj.Restored, rj.Error)
+	}
+}
+
+// TestFailedStartReleasesEverything checks that a NewServer that fails
+// leaves nothing behind: no worker goroutines blocked on a pool nobody
+// will drain, and no directory locks (a retry in the same process on
+// the same directories succeeds).
+func TestFailedStartReleasesEverything(t *testing.T) {
+	base := t.TempDir()
+	notDir := filepath.Join(base, "file")
+	if err := os.WriteFile(notDir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dirs := func(c *Config) {
+		c.JobLogDir = filepath.Join(base, "joblog")
+		c.SpoolDir = filepath.Join(base, "spool")
+		c.ProfileDir = filepath.Join(base, "profiles")
+	}
+	baseline := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		cfg  func(c *Config)
+	}{
+		{"job log path is a file", func(c *Config) { c.JobLogDir = notDir }},
+		{"unknown dataset after the locks", func(c *Config) { dirs(c); c.Datasets = []string{"nope"} }},
+	} {
+		cfg := Config{Datasets: []string{"tpch"}, Params: tinyParams(), Seed: 23, Workers: 4, Logger: discardLogger()}
+		tc.cfg(&cfg)
+		if s, err := NewServer(cfg); err == nil {
+			s.Close()
+			t.Fatalf("%s: NewServer succeeded", tc.name)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for n := runtime.NumGoroutine(); n > baseline; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("failed starts leaked goroutines: %d now vs %d before", n, baseline)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	cfg := Config{Datasets: []string{"tpch"}, Params: tinyParams(), Seed: 23, Logger: discardLogger()}
+	dirs(&cfg)
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatalf("retry on the failed start's directories: %v", err)
+	}
+	s.Close()
+}
+
 // crashChildEnv carries "joblogDir:spoolDir" to the crash-test child.
 const crashChildEnv = "TRAPD_CRASH_DIRS"
 
@@ -619,7 +729,7 @@ func crashParams() Config {
 		QueueDepth: 4,
 		JobTimeout: 5 * time.Minute,
 		Registry:   obs.NewRegistry(),
-		Logf:       func(string, ...any) {},
+		Logger:     discardLogger(),
 	}
 }
 
@@ -686,17 +796,30 @@ func TestCrashReplayResume(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	cfg := crashParams()
+	cfg.JobLogDir = jdir
+	cfg.SpoolDir = sdir
+	cfg.CheckpointEvery = 1
+	// A standby started while the child lives is refused: the child holds
+	// both directories.
+	if dirLocks {
+		if sb, err := NewServer(cfg); !errors.Is(err, joblog.ErrLocked) {
+			if err == nil {
+				sb.Close()
+			}
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("NewServer beside the live child: %v, want joblog.ErrLocked", err)
+		}
+	}
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	cmd.Wait() // expected to die on the signal
 
-	// Restart on the same joblog + spool: the interrupted job comes back
-	// pending with Restored set and runs to completion.
-	cfg := crashParams()
-	cfg.JobLogDir = jdir
-	cfg.SpoolDir = sdir
-	cfg.CheckpointEvery = 1
+	// Restart on the same joblog + spool: the kernel dropped the dead
+	// child's locks, and the interrupted job comes back pending with
+	// Restored set and runs to completion.
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -735,5 +858,108 @@ func TestCrashReplayResume(t *testing.T) {
 		resumed.Result.Workloads != refJob.Result.Workloads {
 		t.Fatalf("crash-resumed result differs from uninterrupted run:\n  resumed:   %+v\n  reference: %+v",
 			resumed.Result, refJob.Result)
+	}
+}
+
+func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestJobLogDegradedDraining (single node) injects a write failure into
+// the job-log append path: the log latches read-only, the node flips to
+// draining — /readyz 503, new submissions rejected 503 — while already
+// accepted jobs still run to completion.
+func TestJobLogDegradedDraining(t *testing.T) {
+	s := newFaultServer(t, func(c *Config) {
+		c.JobLogDir = t.TempDir()
+		c.Injector = faultinject.NewSeeded(1, faultinject.Rule{
+			Point: faultinject.PointJoblogAppend, Action: faultinject.ActError,
+			Every: 1, Count: 1,
+		})
+	})
+	defer s.Close()
+	h := s.Handler()
+
+	// First submit: the submit-record append fails, degrading the log.
+	// The job itself is still accepted (append failure is non-fatal for
+	// in-memory execution) but the node starts draining.
+	j := submitJob(t, h, "Drop", "Random")
+
+	waitUntil(t, 10*time.Second, "draining readiness", func() bool {
+		code, body := getPath(t, h, "/readyz")
+		return code == http.StatusServiceUnavailable &&
+			strings.Contains(string(body), "degraded")
+	})
+
+	code, body := postJSON(t, h, "/v1/assess", assessRequest{
+		Dataset: "tpch", Advisor: "Drop", Method: "Random",
+	})
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("submit while draining: %d %s, want 503", code, body)
+	}
+	if !strings.Contains(string(body), "degraded") {
+		t.Errorf("drain rejection body %q does not mention degradation", body)
+	}
+
+	fin := pollTerminal(t, h, j.ID, time.Minute)
+	if fin.Status != JobDone {
+		t.Errorf("accepted job after degradation: %s (err=%q)", fin.Status, fin.Error)
+	}
+	metricAtLeast(t, h, "trapd_joblog_degraded", 1)
+}
+
+// TestHubSlowConsumerEviction verifies the SSE hub never blocks on a
+// stalled subscriber: the laggard's channel is closed once its buffer
+// fills, and a reconnect with Last-Event-ID replays what it missed from
+// the retained backlog.
+func TestHubSlowConsumerEviction(t *testing.T) {
+	h := newJobHub()
+	_, ch := h.subscribe(0)
+	if ch == nil {
+		t.Fatal("subscribe on open hub returned nil channel")
+	}
+
+	total := subBuffer + 10
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < total; i++ {
+			h.publish(JobEvent{Type: evEpoch, Epoch: i + 1})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("publisher blocked on a slow consumer")
+	}
+
+	// The evicted channel holds its buffered prefix and is then closed.
+	n := 0
+	for range ch {
+		n++
+	}
+	if n != subBuffer {
+		t.Fatalf("evicted consumer drained %d events, want %d buffered", n, subBuffer)
+	}
+
+	// Reconnect after the last seen Seq: the backlog fills the gap.
+	replay, ch2 := h.subscribe(int64(n))
+	if ch2 == nil {
+		t.Fatal("re-subscribe returned nil channel on open hub")
+	}
+	defer h.unsubscribe(ch2)
+	if len(replay) != total-n {
+		t.Fatalf("resume replayed %d events, want %d", len(replay), total-n)
+	}
+	if replay[0].Seq != int64(n)+1 || replay[len(replay)-1].Seq != int64(total) {
+		t.Fatalf("resume range [%d,%d], want [%d,%d]",
+			replay[0].Seq, replay[len(replay)-1].Seq, n+1, total)
 	}
 }

@@ -31,7 +31,7 @@ func newFaultServer(t *testing.T, mutate func(*Config)) *Server {
 		MaxRetries:     2,
 		RetryBackoff:   10 * time.Millisecond,
 		Registry:       obs.NewRegistry(),
-		Logf:           func(string, ...any) {},
+		Logger:         discardLogger(),
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -39,8 +39,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/nodes", s.handleNodes)
-	s.mux.HandleFunc("GET /v1/cluster/metrics", s.handleClusterMetrics)
 	s.mux.HandleFunc("GET /v1/profiles", s.handleProfiles)
 	s.mux.HandleFunc("GET /v1/profiles/{file}", s.handleProfileFile)
 	if s.cfg.EnablePprof {
@@ -145,24 +143,15 @@ type readyResponse struct {
 	Reason string `json:"reason,omitempty"`
 	Queued int    `json:"queued"`
 	Depth  int    `json:"depth"`
-	// Node and Leases report fleet identity and lease health in cluster
-	// mode.
-	Node   string `json:"node,omitempty"`
-	Leases int    `json:"leases,omitempty"`
 }
 
 // handleReadyz is the load-balancer readiness gate, distinct from the
 // /healthz liveness probe: the process can be alive (healthz 200) but
 // not ready — still replaying the job log, with a degraded (read-only)
-// job log, with stalled heartbeats that put its leases at risk, or with
-// a saturated queue that would shed new work anyway.
+// job log, or with a saturated queue that would shed new work anyway.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	queued := s.pool.queued()
 	resp := readyResponse{Queued: queued, Depth: s.cfg.QueueDepth}
-	if s.coord != nil {
-		resp.Node = s.cfg.NodeID
-		resp.Leases = s.coord.Leases()
-	}
 	if !s.ready.Load() {
 		resp.Reason = "replaying job log"
 		writeJSON(w, http.StatusServiceUnavailable, resp)
@@ -172,17 +161,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp.Reason = "job log degraded; draining"
 		writeJSON(w, http.StatusServiceUnavailable, resp)
 		return
-	}
-	if s.coord != nil {
-		if age := s.coord.HeartbeatAge(); age > s.coord.TTL {
-			// The node cannot prove liveness to the fleet: its leases are
-			// past (or about to pass) their deadlines and survivors will
-			// take its jobs over. Stop routing traffic to it.
-			resp.Reason = fmt.Sprintf("heartbeat stalled for %s (lease TTL %s); leases at risk",
-				age.Round(time.Millisecond), s.coord.TTL)
-			writeJSON(w, http.StatusServiceUnavailable, resp)
-			return
-		}
 	}
 	if queued >= s.cfg.QueueDepth {
 		resp.Reason = "job queue saturated"
@@ -498,10 +476,10 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		// The job log degraded (an append or fsync failed): this node
+		// The job log degraded (an append or fsync failed): this server
 		// can no longer persist job transitions, so it drains — existing
-		// jobs finish, new ones must go to a healthy node.
-		writeError(w, http.StatusServiceUnavailable, "job log degraded; node is draining and not accepting jobs")
+		// jobs finish, new ones must wait for a restart.
+		writeError(w, http.StatusServiceUnavailable, "job log degraded; server is draining and not accepting jobs")
 		return
 	}
 
@@ -525,11 +503,6 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", retrySeconds(d.RetryAfter))
 		writeError(w, http.StatusTooManyRequests,
 			"tenant %q over submission quota (%s); retry after %s", tenant, d.Reason, d.RetryAfter)
-		return
-	}
-
-	if s.bus != nil {
-		s.handleAssessCluster(w, req, tenant, pri)
 		return
 	}
 
@@ -680,21 +653,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s already %s", id, j.Status)
 		return
 	}
-	if s.coord != nil {
-		if _, owned := s.coord.Owned(id); !owned {
-			// Cancel-anywhere: this node does not own the job, so the
-			// request routes to the owner through the shared log (and
-			// outlives the owner — a node that takes the job over after
-			// a crash finds the cancel record and finalizes it).
-			if _, err := s.bus.Append(s.cfg.NodeID, recCancel, id, nil); err != nil {
-				writeError(w, http.StatusServiceUnavailable, "cannot persist cancel request: %v", err)
-				return
-			}
-			j, _ = s.jobs.get(id)
-			writeJSON(w, http.StatusAccepted, j)
-			return
-		}
-	}
 	canceledNow := false
 	now := time.Now()
 	s.jobs.update(id, func(j *Job) {
@@ -708,9 +666,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if canceledNow {
 		s.mJobsCanceled.Inc()
 		s.publishState(id)
-		if s.coord != nil {
-			s.coord.RunEnded(id) // drop the lease entry; the job is terminal
-		}
 	} else if cancel := s.jobs.takeCancel(id); cancel != nil {
 		cancel()
 	}

@@ -73,11 +73,6 @@ type Job struct {
 	// Restored reports that the job was interrupted by a process death
 	// and re-enqueued from the job log on restart.
 	Restored bool `json:"restored,omitempty"`
-	// Node names the fleet node that owns (or last owned) the job and
-	// Epoch the lease fencing token it is owned under — set only in
-	// cluster mode (Config.NodeID).
-	Node  string `json:"node,omitempty"`
-	Epoch uint64 `json:"leaseEpoch,omitempty"`
 	// TraceID links the job to its pipeline trace (GET /v1/traces/{id});
 	// empty when the tracer's head sampling skipped this job.
 	TraceID  string     `json:"traceId,omitempty"`
@@ -113,17 +108,12 @@ type jobStore struct {
 	next    atomic.Int64
 	jobs    map[string]*Job
 	cancels map[string]context.CancelFunc
-	// prog is the per-job epoch high-water of folded progress records
-	// (cluster mode): epochs re-run after a takeover resume are folded
-	// but not re-published to the event stream.
-	prog map[string]int
 }
 
 func newJobStore() *jobStore {
 	return &jobStore{
 		jobs:    map[string]*Job{},
 		cancels: map[string]context.CancelFunc{},
-		prog:    map[string]int{},
 	}
 }
 
@@ -233,27 +223,6 @@ func (s *jobStore) takeCancel(id string) context.CancelFunc {
 	return fn
 }
 
-// advanceEpoch advances the job's progress high-water, reporting
-// whether epoch is new (and should be published to the event stream).
-func (s *jobStore) advanceEpoch(id string, epoch int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch <= s.prog[id] {
-		return false
-	}
-	s.prog[id] = epoch
-	return true
-}
-
-// remove drops one job entirely (a folded drop tombstone).
-func (s *jobStore) remove(id string) {
-	s.mu.Lock()
-	delete(s.jobs, id)
-	delete(s.cancels, id)
-	delete(s.prog, id)
-	s.mu.Unlock()
-}
-
 // gc removes terminal jobs that finished more than ttl ago and returns
 // their IDs so the caller can drop the durable and streaming state too.
 // Running and pending jobs are never collected.
@@ -268,7 +237,6 @@ func (s *jobStore) gc(ttl time.Duration, now time.Time) []string {
 		if now.Sub(*j.Finished) >= ttl {
 			delete(s.jobs, id)
 			delete(s.cancels, id)
-			delete(s.prog, id)
 			dropped = append(dropped, id)
 		}
 	}

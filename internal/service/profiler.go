@@ -63,10 +63,9 @@ type profiler struct {
 	mSkipped   *obs.Counter
 }
 
-func newProfiler(cfg Config, reg *obs.Registry, log *olog.Logger) (*profiler, error) {
-	if err := os.MkdirAll(cfg.ProfileDir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: profile dir: %w", err)
-	}
+// newProfiler builds the capture harness over cfg.ProfileDir, which the
+// server has already created and locked.
+func newProfiler(cfg Config, reg *obs.Registry, log *olog.Logger) *profiler {
 	p := &profiler{
 		dir:        cfg.ProfileDir,
 		threshold:  cfg.ProfileThreshold,
@@ -80,7 +79,7 @@ func newProfiler(cfg Config, reg *obs.Registry, log *olog.Logger) (*profiler, er
 		"Profile captures triggered by spans over the latency threshold.")
 	reg.Describe("trapd_profile_skipped_total",
 		"Threshold breaches skipped because a capture was already in flight.")
-	return p, nil
+	return p
 }
 
 // onSpanEnd is the tracer hook: called for every finished span.

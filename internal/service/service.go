@@ -25,6 +25,12 @@
 // (internal/admission) adds per-tenant quotas and honest Retry-After
 // hints on load sheds.
 //
+// One server writes each directory it is given (job log, spool, profile
+// captures): NewServer locks them (joblog.DirLock) before it builds
+// anything, so a second trapd on the same directories fails fast. A
+// standby is simply a second trapd whose supervisor restarts it until
+// the first one is gone; it then replays the log and resumes the jobs.
+//
 // The suites (engine, workloads, vocabulary, learned utility model) are
 // built once at startup and shared by every request; the engine and
 // suite concurrency contracts (see internal/engine and internal/assess)
@@ -42,10 +48,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +59,6 @@ import (
 	"github.com/trap-repro/trap/internal/assess"
 	"github.com/trap-repro/trap/internal/bench"
 	"github.com/trap-repro/trap/internal/buildinfo"
-	"github.com/trap-repro/trap/internal/cluster"
 	"github.com/trap-repro/trap/internal/core"
 	"github.com/trap-repro/trap/internal/faultinject"
 	"github.com/trap-repro/trap/internal/joblog"
@@ -121,12 +126,9 @@ type Config struct {
 	// Tracer records pipeline traces for /v1/traces (default: a tracer
 	// with trace.Options defaults — 64 recent + 8 slowest per op).
 	Tracer *trace.Tracer
-	// Logger is the structured server logger. Defaults to a Logf adapter
-	// when Logf is set, else a text logger on stderr at info level.
+	// Logger is the structured server logger (default: a text logger on
+	// stderr at info level).
 	Logger *olog.Logger
-	// Logf is the legacy printf-style log sink. When set (and Logger is
-	// not), server logs render through it as "msg k=v ..." lines.
-	Logf func(format string, args ...any)
 
 	// MaxRetries bounds re-executions of a job that failed on a
 	// transient error (default 2; negative disables retries).
@@ -142,13 +144,15 @@ type Config struct {
 	GCInterval time.Duration
 	// SpoolDir, when set, enables RL-training checkpoints: jobs write a
 	// checkpoint there every CheckpointEvery epochs and resume from it
-	// after a cancel, crash or retry. Empty disables checkpointing.
+	// after a cancel, crash or retry. Empty disables checkpointing. The
+	// server holds the directory's lock while it lives.
 	SpoolDir string
 	// CheckpointEvery is the epoch stride between checkpoints (default 1).
 	CheckpointEvery int
 	// JobLogDir, when set, enables the durable job log: every job
 	// transition is appended (fsync'd) there and replayed on startup, so
-	// jobs survive a process death. Empty disables the log.
+	// jobs survive a process death. Empty disables the log. The server
+	// holds the directory's lock while it lives; it may be the SpoolDir.
 	JobLogDir string
 	// JobLogSegmentBytes overrides the job-log segment size (testing).
 	JobLogSegmentBytes int64
@@ -169,7 +173,8 @@ type Config struct {
 	// ProfileDir, when set, enables continuous profiling: every traced
 	// span that runs longer than ProfileThreshold triggers a heap + CPU
 	// profile capture into this directory, retained ProfileKeep-deep and
-	// indexed by GET /v1/profiles. Empty disables the harness.
+	// indexed by GET /v1/profiles. Empty disables the harness. The
+	// server holds the directory's lock while it lives.
 	ProfileDir string
 	// ProfileThreshold is the span latency that triggers a capture
 	// (default 1s).
@@ -179,30 +184,9 @@ type Config struct {
 	// ProfileCPUWindow is how long the post-breach CPU profile runs
 	// (default 1s).
 	ProfileCPUWindow time.Duration
-	// MetricsInterval is the cadence of cluster metric federation: each
-	// node publishes its registry snapshot to the shared bus this often
-	// (default 5s; only meaningful in cluster mode).
-	MetricsInterval time.Duration
 	// Injector arms the fault-injection points in the suites' engines
 	// and frameworks (nil — the default — disables injection).
 	Injector faultinject.Injector
-
-	// NodeID, when set, joins the server to a multi-node fleet: jobs are
-	// owned via leases over the shared job log (worker-pull placement),
-	// with fencing-token takeover when a node dies. Requires JobLogDir or
-	// Bus. Empty (the default) keeps the single-node job path.
-	NodeID string
-	// LeaseTTL is how long a job lease survives without renewal; a node
-	// that misses heartbeats for this long loses its jobs to takeover
-	// (default 15s).
-	LeaseTTL time.Duration
-	// HeartbeatInterval is the heartbeat/renew/reconcile cadence
-	// (default LeaseTTL/3).
-	HeartbeatInterval time.Duration
-	// Bus attaches the server to an existing in-process fleet bus
-	// (chaos drills, cmd/trapload). When nil and NodeID is set, the
-	// server opens its own bus over JobLogDir.
-	Bus *cluster.Bus
 }
 
 func (c *Config) fill() {
@@ -237,11 +221,7 @@ func (c *Config) fill() {
 		c.Tracer = trace.New(trace.Options{})
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			c.Logger = olog.NewLogf(c.Logf)
-		} else {
-			c.Logger = olog.New(os.Stderr, slog.LevelInfo, olog.FormatText)
-		}
+		c.Logger = olog.New(os.Stderr, slog.LevelInfo, olog.FormatText)
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 2
@@ -272,9 +252,6 @@ func (c *Config) fill() {
 	if c.ProfileCPUWindow <= 0 {
 		c.ProfileCPUWindow = time.Second
 	}
-	if c.MetricsInterval <= 0 {
-		c.MetricsInterval = 5 * time.Second
-	}
 }
 
 // Server is the trapd HTTP service.
@@ -287,33 +264,23 @@ type Server struct {
 	jobs   *jobStore
 	pool   *workerPool
 	ckpt   *ckptStore  // nil when SpoolDir is unset
-	jlog   *joblog.Log // nil when JobLogDir is unset
+	jlog   *joblog.Log // nil when JobLogDir is unset; holds its own lock
+	// locks are the server's other directory locks (spool, profiles).
+	locks  []*joblog.DirLock
 	adm    *admission.Controller
 	events *eventBus
 	ready  atomic.Bool // false until the job-log replay has finished
 	// draining latches true when the job log degrades (an append or
-	// fsync failed): the node stops accepting jobs and claiming leases,
-	// serves what it has, and /readyz turns 503.
+	// fsync failed): the server stops accepting jobs, serves what it
+	// has, and /readyz turns 503.
 	draining atomic.Bool
 	mux      *http.ServeMux
 	start    time.Time
 
-	// Cluster mode (Config.NodeID): the shared bus, this node's lease
-	// coordinator, and its fold subscription. ownBus marks a bus this
-	// server opened itself (and must close).
-	bus    *cluster.Bus
-	coord  *cluster.Coordinator
-	sub    *cluster.Sub
-	ownBus bool
-
-	// Telemetry: per-job time-series scopes, the continuous-profiling
-	// harness, and the cluster metric-federation publisher.
-	tscopes      *scopeStore
-	prof         *profiler // nil when ProfileDir is unset
-	metricsEvery time.Duration
-	metricsStop  chan struct{}
-	metricsDone  chan struct{}
-	metricsOnce  sync.Once
+	// Telemetry: per-job time-series scopes and the continuous-profiling
+	// harness.
+	tscopes *scopeStore
+	prof    *profiler // nil when ProfileDir is unset
 
 	mRequests     *obs.Counter
 	mReqSecs      *obs.Histogram
@@ -325,7 +292,6 @@ type Server struct {
 	mJobPanics    *obs.Counter
 	mJobsGCed     *obs.Counter
 	mJobsRestored *obs.Counter
-	mJobsFenced   *obs.Counter
 	mCkptSaved    *obs.Counter
 	mCkptResumed  *obs.Counter
 	mShedQuota    *obs.Counter
@@ -343,11 +309,15 @@ const (
 	recDrop   = "drop"
 )
 
-// NewServer builds the suites for every configured dataset (this is the
-// slow part: workload generation and utility-model training) and wires
-// the handlers and worker pool. The server is ready to serve as soon as
-// NewServer returns.
-func NewServer(cfg Config) (*Server, error) {
+// NewServer locks the server's directories and reads its job log, builds
+// the suites for every configured dataset (this is the slow part:
+// workload generation and utility-model training), restores the replayed
+// jobs and wires the handlers and worker pool. A directory another
+// server holds fails NewServer before any suite is built, with an error
+// that names it and wraps joblog.ErrLocked. A failed NewServer releases
+// everything it took. The server is ready to serve as soon as NewServer
+// returns.
+func NewServer(cfg Config) (_ *Server, err error) {
 	cfg.fill()
 	s := &Server{
 		cfg:     cfg,
@@ -374,7 +344,6 @@ func NewServer(cfg Config) (*Server, error) {
 		mJobPanics:    cfg.Registry.Counter("trapd_job_panics_total"),
 		mJobsGCed:     cfg.Registry.Counter("trapd_jobs_gced_total"),
 		mJobsRestored: cfg.Registry.Counter("trapd_jobs_restored_total"),
-		mJobsFenced:   cfg.Registry.Counter("trapd_jobs_fenced_total"),
 		mCkptSaved:    cfg.Registry.Counter("trapd_checkpoints_saved_total"),
 		mCkptResumed:  cfg.Registry.Counter("trapd_checkpoints_resumed_total"),
 		mShedQuota:    cfg.Registry.Counter("trapd_shed_quota_total"),
@@ -382,12 +351,22 @@ func NewServer(cfg Config) (*Server, error) {
 		mJobsRun:      cfg.Registry.Gauge("trapd_jobs_running"),
 		mJobSecs:      cfg.Registry.Histogram("trapd_job_seconds"),
 	}
-	if cfg.SpoolDir != "" {
-		ck, err := newCkptStore(cfg.SpoolDir, cfg.Seed)
+	defer func() {
 		if err != nil {
+			s.Close()
+		}
+	}()
+	var replayed []Job
+	if cfg.JobLogDir != "" {
+		if replayed, err = s.openJobLog(); err != nil {
 			return nil, err
 		}
-		s.ckpt = ck
+	}
+	if err := s.lockDirs(); err != nil {
+		return nil, err
+	}
+	if cfg.SpoolDir != "" {
+		s.ckpt = &ckptStore{dir: cfg.SpoolDir, seed: cfg.Seed}
 	}
 	for _, name := range cfg.Datasets {
 		sch, err := SchemaByName(name, cfg.Params.ScaleDown)
@@ -442,14 +421,6 @@ func NewServer(cfg Config) (*Server, error) {
 		func() float64 { return 1 })
 	s.reg.Describe("trap_build_info",
 		"Build provenance carried as labels; the value is always 1.")
-	if cfg.ProfileDir != "" {
-		p, err := newProfiler(cfg, s.reg, s.log)
-		if err != nil {
-			return nil, err
-		}
-		s.prof = p
-		s.tr.SetOnSpanEnd(p.onSpanEnd)
-	}
 	obs.RegisterRuntimeGauges(s.reg)
 	for name, help := range map[string]string{
 		"trapd_jobs_submitted_total":  "Assessment jobs accepted by POST /v1/assess.",
@@ -465,17 +436,31 @@ func NewServer(cfg Config) (*Server, error) {
 	} {
 		s.reg.Describe(name, help)
 	}
+	var requeue []string
+	if s.jlog != nil {
+		s.registerJoblogMetrics()
+		if requeue, err = s.restoreJobs(replayed); err != nil {
+			return nil, err
+		}
+	}
+	// Nothing below can fail, so a failed NewServer never started a worker
+	// or installed a tracer hook.
 	s.pool = newWorkerPool(cfg.Workers, cfg.QueueDepth, s.runJob)
-	switch {
-	case cfg.NodeID != "":
-		if err := s.setupCluster(); err != nil {
-			return nil, err
+	for _, id := range requeue {
+		j, _ := s.jobs.get(id)
+		if err := s.pool.submit(id, j.priority()); err != nil {
+			now := time.Now()
+			s.jobs.update(id, func(j *Job) {
+				j.Status = JobFailed
+				j.Error = fmt.Sprintf("re-enqueue after restart: %v", err)
+				j.Finished = &now
+			})
+			s.publishState(id)
 		}
-	case cfg.JobLogDir != "":
-		if err := s.openJobLog(); err != nil {
-			return nil, err
-		}
-		s.registerJoblogMetrics(s.jlog)
+	}
+	if cfg.ProfileDir != "" {
+		s.prof = newProfiler(cfg, s.reg, s.log)
+		s.tr.SetOnSpanEnd(s.prof.onSpanEnd)
 	}
 	s.ready.Store(true)
 	s.mux = http.NewServeMux()
@@ -483,10 +468,12 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// openJobLog opens (or creates) the durable job log, replays it into
-// the job store — re-enqueuing jobs interrupted by a process death —
-// and compacts the log down to one state record per live job.
-func (s *Server) openJobLog() error {
+// openJobLog opens (or creates) the durable job log, which takes the
+// directory's lock, and folds its records last-write-wins into the jobs
+// to restore, in first-submission order. Record types this server does
+// not write (older releases also logged leases, heartbeats, metrics,
+// progress and cancels) are skipped.
+func (s *Server) openJobLog() ([]Job, error) {
 	byID := map[string]*Job{}
 	var order []string // first-seen order, preserved across folding
 	l, err := joblog.Open(s.cfg.JobLogDir, joblog.Options{
@@ -510,72 +497,127 @@ func (s *Server) openJobLog() error {
 		},
 	})
 	if err != nil {
-		return fmt.Errorf("service: job log: %w", err)
+		return nil, fmt.Errorf("service: job log: %w", err)
 	}
 	s.jlog = l
-
-	var snapshot []joblog.Record
-	restored, requeued := 0, 0
+	var jobs []Job
 	for _, id := range order {
-		j, ok := byID[id]
-		if !ok {
-			continue // dropped later in the log
+		if j, ok := byID[id]; ok { // else dropped later in the log
+			jobs = append(jobs, *j)
 		}
+	}
+	return jobs, nil
+}
+
+// lockDirs locks the other directories the server writes, the spool and
+// the profile captures. A directory named twice, or also used as the job
+// log (whose lock joblog.Open took), is locked once.
+func (s *Server) lockDirs() error {
+	held := map[string]bool{}
+	for _, dir := range []string{s.cfg.JobLogDir, s.cfg.SpoolDir, s.cfg.ProfileDir} {
+		if dir == "" {
+			continue
+		}
+		abs, err := filepath.Abs(dir)
+		if err != nil {
+			return fmt.Errorf("service: %w", err)
+		}
+		if held[abs] {
+			continue
+		}
+		held[abs] = true
+		if dir == s.cfg.JobLogDir {
+			continue // joblog.Open holds this one
+		}
+		l, err := joblog.LockDir(dir)
+		if err != nil {
+			return fmt.Errorf("service: %w", err)
+		}
+		s.locks = append(s.locks, l)
+	}
+	return nil
+}
+
+// restoreJobs loads the replayed jobs into the store and their event
+// hubs, and compacts the log down to one state record per job. Jobs a
+// process death interrupted while queued or running come back pending
+// and flagged Restored; their IDs are returned for the worker pool, and
+// a spooled checkpoint (if the server has a spool) makes each re-run
+// resume mid-training.
+func (s *Server) restoreJobs(jobs []Job) ([]string, error) {
+	var requeue []string
+	snapshot := make([]joblog.Record, 0, len(jobs))
+	for _, j := range jobs {
 		if !j.Status.terminal() {
-			// The process died while this job was queued or running:
-			// re-enqueue it. A spooled checkpoint (if the server has a
-			// spool) makes the re-run resume mid-training.
 			j.Status = JobPending
 			j.Restored = true
 			j.Started, j.Finished = nil, nil
 			j.Error, j.Stack = "", ""
 			j.Result = nil
-			requeued++
+			requeue = append(requeue, j.ID)
 		}
-		s.jobs.restore(*j)
+		s.jobs.restore(j)
 		hub := s.events.create(j.ID)
-		ev := JobEvent{Type: evState, Status: j.Status, Error: j.Error}
-		hub.publish(ev)
+		hub.publish(JobEvent{Type: evState, Status: j.Status, Error: j.Error})
 		if j.Status.terminal() {
 			if j.Status == JobDone && j.Result != nil {
 				hub.publish(JobEvent{Type: evResult, Result: j.Result})
 			}
 			hub.closeHub()
-		} else if err := s.pool.submit(j.ID, j.priority()); err != nil {
-			now := time.Now()
-			s.jobs.update(j.ID, func(jj *Job) {
-				jj.Status = JobFailed
-				jj.Error = fmt.Sprintf("re-enqueue after restart: %v", err)
-				jj.Finished = &now
-			})
-			cur, _ := s.jobs.get(j.ID)
-			*j = cur
-			hub.publish(JobEvent{Type: evState, Status: j.Status, Error: j.Error})
-			hub.closeHub()
 		}
-		cur, _ := s.jobs.get(j.ID)
-		data, merr := json.Marshal(cur)
-		if merr != nil {
-			continue
+		if data, err := json.Marshal(j); err == nil {
+			snapshot = append(snapshot, joblog.Record{Type: recState, JobID: j.ID, Data: data})
 		}
-		snapshot = append(snapshot, joblog.Record{Type: recState, JobID: j.ID, Data: data})
-		restored++
 	}
-	if err := l.Compact(snapshot); err != nil {
-		return fmt.Errorf("service: job log compact: %w", err)
+	if err := s.jlog.Compact(snapshot); err != nil {
+		return nil, fmt.Errorf("service: job log compact: %w", err)
 	}
-	if restored > 0 {
-		s.mJobsRestored.Add(int64(requeued))
+	if len(jobs) > 0 {
+		s.mJobsRestored.Add(int64(len(requeue)))
 		s.log.Info(context.Background(), "trapd: job log replayed",
-			"jobs", restored, "requeued", requeued, "dir", s.cfg.JobLogDir)
+			"jobs", len(jobs), "requeued", len(requeue), "dir", s.cfg.JobLogDir)
 	}
-	return nil
+	return requeue, nil
+}
+
+// registerJoblogMetrics exposes the durable log's replay/durability
+// counters as scrape-time gauges.
+func (s *Server) registerJoblogMetrics() {
+	for name, fn := range map[string]func(joblog.Stats) float64{
+		"trapd_joblog_records_replayed":     func(st joblog.Stats) float64 { return float64(st.Replayed) },
+		"trapd_joblog_appends_total":        func(st joblog.Stats) float64 { return float64(st.Appends) },
+		"trapd_joblog_corrupt_frames_total": func(st joblog.Stats) float64 { return float64(st.CorruptFrames) },
+		"trapd_joblog_torn_tails_total":     func(st joblog.Stats) float64 { return float64(st.TornTails) },
+		"trapd_joblog_truncated_bytes":      func(st joblog.Stats) float64 { return float64(st.TruncatedBytes) },
+		"trapd_joblog_compactions_total":    func(st joblog.Stats) float64 { return float64(st.Compactions) },
+		"trapd_joblog_segments":             func(st joblog.Stats) float64 { return float64(st.Segments) },
+		"trapd_joblog_active_bytes":         func(st joblog.Stats) float64 { return float64(st.ActiveBytes) },
+		"trapd_joblog_degraded": func(st joblog.Stats) float64 {
+			if st.Degraded {
+				return 1
+			}
+			return 0
+		},
+	} {
+		fn := fn
+		s.reg.GaugeFunc(name, func() float64 { return fn(s.jlog.Stats()) })
+	}
+	for name, help := range map[string]string{
+		"trapd_joblog_records_replayed":     "Job-log records recovered by replay at startup.",
+		"trapd_joblog_corrupt_frames_total": "Job-log frames dropped during replay (CRC mismatch or torn tail).",
+		"trapd_joblog_torn_tails_total":     "Torn-tail truncation events recovered by replay.",
+		"trapd_joblog_truncated_bytes":      "Tail bytes cut from the last segment to recover a torn write.",
+		"trapd_joblog_compactions_total":    "Successful job-log compactions this process lifetime.",
+		"trapd_joblog_degraded":             "1 when an append failed and the job log is read-only (the server drains).",
+	} {
+		s.reg.Describe(name, help)
+	}
 }
 
 // appendJobRecord durably appends the job's current state to the job
 // log. Log failures are non-fatal for the job itself (they cost
 // durability, not correctness of the in-memory run) — but a degraded
-// log flips the node into read-only draining: it finishes what it has
+// log flips the server into read-only draining: it finishes what it has
 // and stops accepting work whose transitions it could not persist.
 func (s *Server) appendJobRecord(typ string, j Job) {
 	if s.jlog == nil {
@@ -584,7 +626,7 @@ func (s *Server) appendJobRecord(typ string, j Job) {
 	if _, err := s.jlog.Append(typ, j.ID, j); err != nil {
 		if errors.Is(err, joblog.ErrDegraded) && s.draining.CompareAndSwap(false, true) {
 			s.log.Error(context.Background(),
-				"trapd: job log degraded, node entering read-only drain", "err", err)
+				"trapd: job log degraded, entering read-only drain", "err", err)
 		}
 		s.log.Warn(context.Background(), "trapd: job log append failed", "job", j.ID, "err", err)
 	}
@@ -592,29 +634,10 @@ func (s *Server) appendJobRecord(typ string, j Job) {
 
 // publishState streams the job's current lifecycle state, mirrors it to
 // the job log, and — when the state is terminal — finalizes the stream.
-//
-// In cluster mode the state is appended under this node's lease and hub
-// events come only from the fold (identical Seqs on every node). The
-// return value reports a rejected terminal publication: the lease was
-// lost (fenced), the node is dead/partitioned, or the log degraded —
-// either way the result did not reach the shared log and the caller
-// must not account the job as completed (another node owns it now).
-func (s *Server) publishState(id string) (rejected bool) {
+func (s *Server) publishState(id string) {
 	j, ok := s.jobs.get(id)
 	if !ok {
-		return false
-	}
-	if s.coord != nil {
-		if _, err := s.coord.AppendOwned(recState, id, j); err != nil {
-			if errors.Is(err, joblog.ErrDegraded) && s.draining.CompareAndSwap(false, true) {
-				s.log.Error(context.Background(),
-					"trapd: job log degraded, node entering read-only drain", "err", err)
-			}
-			s.log.Warn(context.Background(), "trapd: cluster state append rejected",
-				"job", id, "status", j.Status, "err", err)
-			return j.Status.terminal()
-		}
-		return false
+		return
 	}
 	ev := JobEvent{Type: evState, Status: j.Status, Error: j.Error}
 	s.events.publish(id, ev)
@@ -625,37 +648,26 @@ func (s *Server) publishState(id string) (rejected bool) {
 		}
 		s.events.closeHub(id)
 	}
-	return false
 }
 
-// Close releases the server's durable resources (the job log, the
-// fleet attachment) and waits out an in-flight profile capture. Safe
-// to call more than once; serving continues degraded if it ever races
-// an in-flight append (appends after close fail soft).
+// Close stops profiling (it removes the tracer hook and waits out an
+// in-flight capture), closes the job log and releases every directory
+// lock, so another server may take the directories over. Safe to call
+// more than once; serving continues degraded if it ever races an
+// in-flight append (appends after close fail soft).
 func (s *Server) Close() error {
 	if s.prof != nil {
+		s.tr.SetOnSpanEnd(nil)
 		s.prof.stop()
 	}
-	if s.metricsStop != nil {
-		s.metricsOnce.Do(func() {
-			close(s.metricsStop)
-			<-s.metricsDone
-		})
-	}
-	if s.coord != nil {
-		s.coord.Stop()
-	}
-	if s.bus != nil {
-		s.bus.Detach(s.cfg.NodeID)
-		if s.ownBus {
-			return s.bus.Close()
-		}
-		return nil
-	}
+	var err error
 	if s.jlog != nil {
-		return s.jlog.Close()
+		err = s.jlog.Close()
 	}
-	return nil
+	for _, l := range s.locks {
+		l.Unlock()
+	}
+	return err
 }
 
 // Handler returns the service's HTTP handler (metrics middleware
@@ -764,14 +776,7 @@ func (s *Server) collectGarbage(ctx context.Context, now time.Time) int {
 	for _, id := range dropped {
 		s.events.drop(id)
 		s.tscopes.drop(id)
-		switch {
-		case s.bus != nil:
-			// Fleet-wide tombstone: every node's fold forgets the job
-			// (duplicate tombstones from concurrent GCs are idempotent).
-			if _, err := s.bus.Append(s.cfg.NodeID, recDrop, id, nil); err != nil {
-				s.log.Warn(ctx, "trapd: job log drop append failed", "job", id, "err", err)
-			}
-		case s.jlog != nil:
+		if s.jlog != nil {
 			if _, err := s.jlog.Append(recDrop, id, nil); err != nil {
 				s.log.Warn(ctx, "trapd: job log drop append failed", "job", id, "err", err)
 			}
@@ -783,15 +788,9 @@ func (s *Server) collectGarbage(ctx context.Context, now time.Time) int {
 }
 
 // Drain stops job intake, cancels queued-but-unstarted jobs, and waits
-// (bounded by ctx) for running jobs to finish. In cluster mode queued
-// jobs are released instead of canceled: their leases go back to the
-// fleet and a surviving node picks them up.
+// (bounded by ctx) for running jobs to finish.
 func (s *Server) Drain(ctx context.Context) {
 	for _, id := range s.pool.shutdown(ctx) {
-		if s.coord != nil {
-			s.coord.Release(id)
-			continue
-		}
 		now := time.Now()
 		changed := false
 		s.jobs.update(id, func(j *Job) {
@@ -833,15 +832,6 @@ func (s *Server) runJob(id string) {
 		s.jobs.clearCancel(id)
 		cancel()
 	}()
-	if s.coord != nil {
-		// Lease gate: the run proceeds only while this node still owns
-		// the job; the coordinator cancels ctx the moment the lease is
-		// taken over at a higher epoch (the fence).
-		if _, ok := s.coord.RunStarted(id, cancel); !ok {
-			return // lease lost while queued: another node owns the job
-		}
-		defer s.coord.RunEnded(id)
-	}
 	started := false
 	now := time.Now()
 	s.jobs.update(id, func(j *Job) {
@@ -878,11 +868,8 @@ func (s *Server) runJob(id string) {
 	// Span→event bridge: each finished measurement cell streams a "cell"
 	// progress event to the job's SSE subscribers. Only sampled jobs have
 	// a trace to observe; unsampled ones still stream state and epoch
-	// events. Cluster mode skips the bridge: hub events must come only
-	// from folded records so Seqs stay identical across nodes.
-	if s.coord == nil {
-		tsp.Observe(s.cellObserver(id))
-	}
+	// events.
+	tsp.Observe(s.cellObserver(id))
 	s.mJobsRun.Add(1)
 	sp := obs.StartSpan(s.mJobSecs)
 	var res *JobResult
@@ -947,16 +934,7 @@ func (s *Server) runJob(id string) {
 			j.Error = err.Error()
 		}
 	})
-	if s.publishState(id) {
-		// The terminal record bounced off the fence (or the node is dead
-		// or partitioned): another node owns the job now and will publish
-		// the real result. This run's outcome is discarded — not counted
-		// as done, the checkpoint left in place for the new owner.
-		s.mJobsFenced.Inc()
-		s.log.Warn(ctx, "trapd: job result fenced, discarding",
-			"elapsed", elapsed.Round(time.Millisecond), "err", err)
-		return
-	}
+	s.publishState(id)
 	s.adm.JobDone(fin)
 	switch {
 	case err == nil:
@@ -1048,29 +1026,10 @@ func (s *Server) runAssessment(ctx context.Context, j Job) (*JobResult, error) {
 		every := s.cfg.CheckpointEvery
 		mc.EpochHook = func(fw *core.Framework, epoch int) error {
 			// The epoch's telemetry rides along: the per-epoch RL series
-			// values stream to SSE subscribers and (in cluster mode)
-			// replicate fleet-wide inside the progress record, where every
-			// node's fold re-appends them into its local scope.
-			pts := rlPoints(s.tscopes.get(j.ID))
-			if s.coord != nil {
-				// Progress replicates through the shared log so every
-				// node's SSE streams carry it. A fenced append means the
-				// lease is gone: abort training immediately rather than
-				// burn cores on a result nobody will accept. Append comes
-				// before the checkpoint save, so a crash between the two
-				// re-runs the epoch and the fold's high-water dedups it.
-				if _, perr := s.coord.AppendOwned(recProgress, j.ID, progressData{Epoch: epoch + 1, Points: pts}); perr != nil {
-					if errors.Is(perr, cluster.ErrFenced) || errors.Is(perr, cluster.ErrNotOwner) {
-						return perr
-					}
-					// Partitioned or degraded: keep training; the fence
-					// decides when the terminal state is published.
-				}
-			} else {
-				s.events.publish(j.ID, JobEvent{Type: evEpoch, Epoch: epoch + 1})
-				if len(pts) > 0 {
-					s.events.publish(j.ID, JobEvent{Type: evTelemetry, Epoch: epoch + 1, Points: pts})
-				}
+			// values stream to SSE subscribers.
+			s.events.publish(j.ID, JobEvent{Type: evEpoch, Epoch: epoch + 1})
+			if pts := rlPoints(s.tscopes.get(j.ID)); len(pts) > 0 {
+				s.events.publish(j.ID, JobEvent{Type: evTelemetry, Epoch: epoch + 1, Points: pts})
 			}
 			if s.ckpt == nil || (epoch+1)%every != 0 {
 				return nil

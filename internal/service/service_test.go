@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 
 	"github.com/trap-repro/trap/internal/assess"
 	"github.com/trap-repro/trap/internal/faultinject"
+	olog "github.com/trap-repro/trap/internal/obs/log"
 )
 
 // tinyParams shrinks QuickParams so the shared test server builds in a
@@ -32,6 +34,11 @@ func tinyParams() assess.Params {
 	p.RLEpochs = 1
 	p.AdvisorEpisodes = 8
 	return p
+}
+
+// discardLogger keeps test servers quiet.
+func discardLogger() *olog.Logger {
+	return olog.New(io.Discard, slog.LevelInfo, olog.FormatText)
 }
 
 var (
@@ -53,7 +60,7 @@ func testServer(t *testing.T) *Server {
 			QueueDepth:     2,
 			RequestTimeout: 30 * time.Second,
 			JobTimeout:     2 * time.Minute,
-			Logf:           func(string, ...any) {},
+			Logger:         discardLogger(),
 		})
 	})
 	if testSrvErr != nil {

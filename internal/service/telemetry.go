@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/trap-repro/trap/internal/telemetry"
 )
@@ -14,8 +13,7 @@ import (
 // that the domain loops (internal/core RL epochs, internal/assess
 // attack steps) append ring-buffered series into via the job context.
 // The scope lives exactly as long as the job does — created when the
-// run starts (or when the fold first delivers points in cluster mode),
-// dropped when the GC drops the job — and is served by
+// run starts, dropped when the GC drops the job — and is served by
 // GET /v1/jobs/{id}/telemetry as JSON or CSV.
 
 // scopeStore owns the per-job telemetry scopes.
@@ -29,8 +27,8 @@ func newScopeStore() *scopeStore {
 }
 
 // getOrCreate returns the job's scope, creating it on first use. The
-// scope survives retries and (in cluster mode) takeovers on the same
-// node: the series' monotonic step gates dedup re-run epochs.
+// scope survives retries: the series' monotonic step gates dedup re-run
+// epochs.
 func (st *scopeStore) getOrCreate(id string) *telemetry.Scope {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -64,10 +62,8 @@ func (st *scopeStore) size() int {
 }
 
 // rlPoints filters a scope's latest values down to the per-epoch RL
-// series (rl_loss, rl_mean_reward, ...). These are the values that
-// replicate fleet-wide through progress records: their step is the RL
-// epoch, so a peer's fold can re-append them at the record's epoch and
-// the owner's own richer series dedup the duplicates by step.
+// series (rl_loss, rl_mean_reward, ...), the points each epoch's SSE
+// "telemetry" event carries.
 func rlPoints(sc *telemetry.Scope) map[string]float64 {
 	if sc == nil {
 		return nil
@@ -120,85 +116,4 @@ func (s *Server) handleJobTelemetry(w http.ResponseWriter, r *http.Request) {
 		dump = []telemetry.SeriesDump{}
 	}
 	writeJSON(w, http.StatusOK, telemetryResponse{Job: id, Series: dump})
-}
-
-// GET /v1/cluster/metrics
-
-// clusterMetricsNode is one node's row in the federated view.
-type clusterMetricsNode struct {
-	Node string    `json:"node"`
-	At   time.Time `json:"at"`
-	// AgeMilli is the snapshot's age at serve time.
-	AgeMilli int64 `json:"ageMs"`
-	// Stale marks a snapshot older than the freshness window (about
-	// three publish intervals) or from a killed node; stale snapshots
-	// are excluded from the fleet aggregate.
-	Stale   bool               `json:"stale"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// clusterMetricsResponse is the /v1/cluster/metrics envelope: the
-// fleet-wide aggregate (per-metric sum over fresh nodes — meaningful
-// for counters and _count/_sum pairs; gauges and quantiles belong in
-// the per-node breakdown) plus every node's latest snapshot.
-type clusterMetricsResponse struct {
-	Node  string               `json:"node"`
-	Fleet map[string]float64   `json:"fleet"`
-	Nodes []clusterMetricsNode `json:"nodes"`
-}
-
-// metricsStaleAfter is the federation freshness window: snapshots older
-// than this are marked stale and left out of the fleet aggregate.
-func (s *Server) metricsStaleAfter() time.Duration {
-	return 3 * s.metricsEvery
-}
-
-func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.bus == nil {
-		writeError(w, http.StatusNotFound, "not running in cluster mode (no -node-id)")
-		return
-	}
-	now := time.Now()
-	resp := clusterMetricsResponse{
-		Node:  s.cfg.NodeID,
-		Fleet: map[string]float64{},
-		Nodes: []clusterMetricsNode{},
-	}
-	for _, nm := range s.bus.NodeMetrics(s.metricsStaleAfter()) {
-		row := clusterMetricsNode{
-			Node:     nm.Node,
-			At:       nm.At,
-			AgeMilli: now.Sub(nm.At).Milliseconds(),
-			Stale:    nm.Stale,
-			Metrics:  nm.Metrics,
-		}
-		resp.Nodes = append(resp.Nodes, row)
-		if nm.Stale {
-			continue
-		}
-		for name, v := range nm.Metrics {
-			resp.Fleet[name] += v
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// publishMetricsLoop is the federation publisher: every metricsEvery it
-// snapshots the local registry and appends it to the shared bus, where
-// every node's fold keeps the latest snapshot per node. Publish
-// failures (partition, kill) are silent — the peer-visible snapshot
-// just ages into staleness, which is the signal /v1/cluster/metrics
-// reports.
-func (s *Server) publishMetricsLoop() {
-	defer close(s.metricsDone)
-	t := time.NewTicker(s.metricsEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.metricsStop:
-			return
-		case <-t.C:
-			_ = s.bus.PublishMetrics(s.cfg.NodeID, s.reg.Values())
-		}
-	}
 }
