@@ -58,15 +58,13 @@ func suite(b *testing.B) *assess.Suite {
 
 // BenchmarkCostBatchWorkload times the hottest path in the repo — the
 // what-if CostBatch every advisor and assessment bottoms out in — on a
-// TPC-H-scale workload, sequential vs. fanned out. Cold-cache per
-// iteration so the benchmark times planning, not map lookups.
+// TPC-H-scale workload. Cold-cache per iteration so the benchmark times
+// planning, not map lookups.
 func BenchmarkCostBatchWorkload(b *testing.B) {
 	s := suite(b)
 	var items []engine.CostItem
 	for _, w := range append(append([]*workload.Workload(nil), s.Train...), s.Test...) {
-		for _, it := range w.Items {
-			items = append(items, engine.CostItem{Q: it.Query, Weight: it.Weight})
-		}
+		items = append(items, w.Items...)
 	}
 	var cfg schema.Config
 	for i, col := range s.Test[0].Columns() {
@@ -75,18 +73,12 @@ func BenchmarkCostBatchWorkload(b *testing.B) {
 		}
 		cfg = cfg.Add(schema.Index{Table: col.Table, Columns: []string{col.Column}})
 	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s.E.SetBatchWorkers(workers)
-			defer s.E.SetBatchWorkers(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.E.ClearCache()
-				if _, err := s.E.CostBatch(context.Background(), items, cfg, engine.ModeEstimated); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.E.ClearCache()
+		if _, err := s.E.CostBatch(context.Background(), items, cfg, engine.ModeEstimated); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -26,13 +26,20 @@ echo "== tier-1: build + test =="
 go build ./...
 go test -timeout 120s ./...
 
+echo "== perfbench: vet + test =="
+# perfbench/ is its own module, so the root ./... skips it: build and
+# test it here so an internal API change that breaks the benchmark
+# fails CI.
+(cd perfbench && go vet ./... && go test -count=1 -timeout 300s ./...)
+
 echo "== race detector =="
-# The engine package gets an explicit pass first: the sharded plan cache,
-# singleflight and CostBatch worker pool are the repo's hottest
-# concurrent code and must fail fast and loud on a data race.
+# The engine package gets an explicit pass first: the sharded plan cache
+# and its singleflight, shared by every job, measurement cell and
+# rollout on a suite, are the repo's hottest concurrent code and must
+# fail fast and loud on a data race.
 go test -race -timeout 300s -count=1 ./internal/engine
 # The tracer is written to from every pipeline goroutine (rollout pools,
-# measurement cells, cost batches) while /v1/traces reads it: its own
+# measurement cells, jobs) while /v1/traces reads it: its own
 # explicit race pass keeps that contract loud.
 go test -race -timeout 300s -count=1 ./internal/trace
 # The job log is appended from every worker while replay/compaction
@@ -104,7 +111,7 @@ go test -timeout 120s -count=1 \
 
 echo "== trace endpoint smoke =="
 # End-to-end observability check: a real job must yield a retrievable
-# trace with a >=4-level span tree, and /metrics must serve all three
+# trace with a >=4-level span tree, and /metrics must serve both
 # exposition formats.
 go test -timeout 300s -count=1 \
     -run 'TestJobTraceEndToEnd|TestMetricsFormats' \

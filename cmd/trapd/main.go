@@ -6,8 +6,7 @@
 // Usage:
 //
 //	trapd [-addr :8080] [-datasets tpch,tpcds,transaction] [-scale quick|full]
-//	      [-workers N] [-cost-workers N] [-train-workers N] [-assess-workers N]
-//	      [-queue N] [-seed 42]
+//	      [-workers N] [-queue N] [-seed 42]
 //	      [-request-timeout 30s] [-job-timeout 15m] [-max-body 1048576]
 //	      [-max-retries 2] [-retry-backoff 100ms] [-job-ttl 1h] [-gc-interval 1m]
 //	      [-spool DIR] [-checkpoint-every 1] [-inject SPEC] [-pprof]
@@ -44,11 +43,10 @@
 // process is gone; it then replays the log and resumes the interrupted
 // jobs from the spool.
 //
-// -train-workers and -assess-workers bound the RL rollout pool and the
-// per-workload measurement pool inside each job; results are
-// bit-identical for every value, so the knobs trade only wall-clock time
-// against CPU. -pprof mounts net/http/pprof under /debug/pprof/ for
-// profiling a running assessment:
+// -workers bounds the jobs that run at once. Inside a job, the RL
+// rollout pool and the per-workload measurement pool size to GOMAXPROCS.
+// -pprof mounts net/http/pprof under /debug/pprof/ for profiling a
+// running assessment:
 //
 //	go tool pprof 'http://localhost:8080/debug/pprof/profile?seconds=30'
 package main
@@ -75,9 +73,6 @@ func main() {
 	datasets := flag.String("datasets", "tpch", "comma-separated datasets to serve (tpch,tpcds,transaction)")
 	scale := flag.String("scale", "quick", "suite parameters: quick or full")
 	workers := flag.Int("workers", 0, "assessment worker pool size (default: NumCPU)")
-	costWorkers := flag.Int("cost-workers", 0, "what-if CostBatch fan-out per engine (default: GOMAXPROCS; 1 = sequential)")
-	trainWorkers := flag.Int("train-workers", 0, "RL trajectory rollout pool per framework (default: GOMAXPROCS; 1 = sequential)")
-	assessWorkers := flag.Int("assess-workers", 0, "per-workload measurement pool per suite (default: GOMAXPROCS; 1 = sequential)")
 	queue := flag.Int("queue", 0, "pending-job queue depth (default: 4x workers)")
 	seed := flag.Int64("seed", 42, "random seed for suite construction")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "synchronous request deadline")
@@ -152,9 +147,6 @@ func main() {
 		Params:           p,
 		Seed:             *seed,
 		Workers:          *workers,
-		CostWorkers:      *costWorkers,
-		TrainWorkers:     *trainWorkers,
-		AssessWorkers:    *assessWorkers,
 		QueueDepth:       *queue,
 		RequestTimeout:   *reqTimeout,
 		JobTimeout:       *jobTimeout,

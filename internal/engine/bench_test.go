@@ -2,29 +2,20 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"testing"
 )
 
-// BenchmarkCostBatch times the parallel what-if batch-costing path at
-// several fan-out widths. Cold cache per iteration, so the benchmark
-// measures planning throughput; on a multi-core machine workers>1 beats
-// workers=1 (on a single core the deterministic reduce keeps the
-// overhead within noise).
+// BenchmarkCostBatch times the what-if batch-costing path on a cold
+// cache per iteration, so it measures planning throughput.
 func BenchmarkCostBatch(b *testing.B) {
 	items, cfg := batchFixture(64)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := New(testSchema())
-			e.SetBatchWorkers(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.ClearCache()
-				if _, err := e.CostBatch(context.Background(), items, cfg, ModeEstimated); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e := New(testSchema())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ClearCache()
+		if _, err := e.CostBatch(context.Background(), items, cfg, ModeEstimated); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

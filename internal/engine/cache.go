@@ -13,9 +13,10 @@ import (
 var mSingleflightDedup = obs.Default().Counter("engine_plan_singleflight_dedup_total")
 
 // cacheShards is the number of independent plan-cache shards. Keys are
-// spread by FNV-1a hash, so under concurrent CostBatch fan-out the
-// shards' locks are (almost) never contended together. The effective
-// minimum cache limit is one entry per shard.
+// spread by FNV-1a hash, so the goroutines sharing one engine (trapd
+// jobs, measurement cells, RL rollouts) (almost) never contend on the
+// same shard lock. The effective minimum cache limit is one entry per
+// shard.
 const cacheShards = 32
 
 // planCache is a sharded, bounded plan cache with per-shard singleflight:

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -67,10 +66,6 @@ type Engine struct {
 	hists  map[sqlx.ColumnRef]stats.Histogram
 
 	cache planCache
-
-	// batchWorkers overrides the CostBatch/RuntimeBatch fan-out width;
-	// 0 (the default) resolves to GOMAXPROCS at call time.
-	batchWorkers atomic.Int64
 
 	// inject, when non-nil, fires the engine.cost fault-injection point
 	// on every QueryCost call (test/diagnostic configuration only).
@@ -142,24 +137,6 @@ func (e *Engine) SetCacheLimit(n int) {
 	e.cache.setLimit(n)
 }
 
-// SetBatchWorkers bounds the worker pool CostBatch and RuntimeBatch fan
-// out over. n <= 0 restores the default (GOMAXPROCS at call time); n == 1
-// forces the sequential path. Safe to call concurrently with batches.
-func (e *Engine) SetBatchWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.batchWorkers.Store(int64(n))
-}
-
-// BatchWorkers reports the resolved worker-pool width.
-func (e *Engine) BatchWorkers() int {
-	if n := int(e.batchWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Schema returns the engine's schema.
 func (e *Engine) Schema() *schema.Schema { return e.schema }
 
@@ -169,9 +146,9 @@ func (e *Engine) ClearCache() {
 }
 
 // keyBuf is the reusable scratch for rendering one plan-cache key: the
-// key bytes and the per-table index sort scratch. Batch paths hand one
-// to each worker (par.ForEachWorker), single-query paths borrow one
-// from keyBufPool, so steady-state key building allocates nothing.
+// key bytes and the per-table index sort scratch. Every costing path
+// borrows one from keyBufPool (a batch keeps it for all its items), so
+// steady-state key building allocates nothing.
 type keyBuf struct {
 	buf []byte
 	ixs []schema.Index
@@ -274,8 +251,7 @@ func (e *Engine) QueryCost(q *sqlx.Query, cfg schema.Config, mode Mode) (float64
 	return e.queryCost(kb, q, cfg, mode)
 }
 
-// queryCost is QueryCost with a caller-owned key buffer (batch paths
-// keep one per worker).
+// queryCost is QueryCost with a caller-owned key buffer.
 func (e *Engine) queryCost(kb *keyBuf, q *sqlx.Query, cfg schema.Config, mode Mode) (float64, error) {
 	if mode == ModeEstimated {
 		mWhatIfCalls.Inc()
@@ -294,19 +270,18 @@ func (e *Engine) queryCost(kb *keyBuf, q *sqlx.Query, cfg schema.Config, mode Mo
 	return p.Cost, nil
 }
 
-// CostItem is one weighted query in a CostBatch call.
+// CostItem is one weighted query in a CostBatch call; workload.Item is
+// the same type, so a workload's items are priced as they are.
 type CostItem struct {
-	Q      *sqlx.Query
+	Query  *sqlx.Query
 	Weight float64
 }
 
 // CostBatch prices a batch of weighted queries under one configuration
-// and returns the weighted total. The per-query costing fans out over a
-// bounded worker pool (see SetBatchWorkers); the weighted summation is
-// performed in item order afterwards, so the parallel total is
-// bit-identical to the sequential one. Cancellation is honored between
-// queries, so a canceled assessment stops what-if costing at the next
-// query boundary instead of draining the whole batch.
+// and returns the weighted total, summed in item order on the caller's
+// goroutine. Cancellation is honored between queries, so a canceled
+// assessment stops what-if costing at the next query boundary instead
+// of draining the whole batch.
 func (e *Engine) CostBatch(ctx context.Context, items []CostItem, cfg schema.Config, mode Mode) (float64, error) {
 	ctx, tsp, finish := e.batchSpan(ctx, "engine.cost_batch", len(items))
 	sp := obs.StartSpan(mBatchSecs)
@@ -330,7 +305,6 @@ func (e *Engine) batchSpan(ctx context.Context, name string, items int) (context
 		return ctx, nil, func(error) {}
 	}
 	tsp.Int("items", int64(items))
-	tsp.Int("workers", int64(e.BatchWorkers()))
 	before := e.cache.stats()
 	return ctx, tsp, func(err error) {
 		after := e.cache.stats()
@@ -359,8 +333,8 @@ func (e *Engine) runtimeCost(kb *keyBuf, q *sqlx.Query, cfg schema.Config) (floa
 }
 
 // RuntimeBatch is CostBatch over the runtime stand-in: the weighted
-// runtime cost of the batch, fanned out over the same worker pool with
-// the same deterministic in-order summation and cancellation behavior.
+// runtime cost of the batch, with the same in-order summation and
+// cancellation behavior.
 func (e *Engine) RuntimeBatch(ctx context.Context, items []CostItem, cfg schema.Config) (float64, error) {
 	ctx, tsp, finish := e.batchSpan(ctx, "engine.runtime_batch", len(items))
 	sp := obs.StartSpan(mBatchSecs)
@@ -370,6 +344,32 @@ func (e *Engine) RuntimeBatch(ctx context.Context, items []CostItem, cfg schema.
 	sp.EndExemplar(tsp.TraceID())
 	finish(err)
 	return total, err
+}
+
+// weightedBatch prices the items in order (with queryCost, or
+// runtimeCost when runtime is set) and sums their weighted costs. ctx
+// is checked before each item; the first error ends the batch.
+func (e *Engine) weightedBatch(ctx context.Context, items []CostItem, cfg schema.Config, mode Mode, runtime bool) (float64, error) {
+	kb := keyBufPool.Get().(*keyBuf)
+	defer keyBufPool.Put(kb)
+	var total float64
+	for _, it := range items {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		var c float64
+		var err error
+		if runtime {
+			c, err = e.runtimeCost(kb, it.Query, cfg)
+		} else {
+			c, err = e.queryCost(kb, it.Query, cfg, mode)
+		}
+		if err != nil {
+			return 0, err
+		}
+		total += c * it.Weight
+	}
+	return total, nil
 }
 
 // tableStatic is the mode- and configuration-independent per-table

@@ -34,70 +34,115 @@ func batchFixture(n int) ([]CostItem, schema.Config) {
 			sql = fmt.Sprintf(
 				"SELECT customers.region FROM customers WHERE customers.id = %d ORDER BY customers.region", i)
 		}
-		items = append(items, CostItem{Q: sqlx.MustParse(sql), Weight: 0.1 + float64(i%7)*0.3})
+		items = append(items, CostItem{Query: sqlx.MustParse(sql), Weight: 0.1 + float64(i%7)*0.3})
 	}
 	return items, cfg
 }
 
-// TestCostBatchParallelMatchesSequential proves the tentpole determinism
-// claim: the parallel fan-out produces a bit-identical weighted total to
-// the sequential path, in both statistics modes, cold and warm cache.
-func TestCostBatchParallelMatchesSequential(t *testing.T) {
+// TestCostBatchMatchesItemSum: CostBatch is the in-order weighted sum
+// of QueryCost over its items, in both statistics modes, and
+// RuntimeBatch that of RuntimeCost, bit for bit on a cold and then a
+// warm cache.
+func TestCostBatchMatchesItemSum(t *testing.T) {
 	items, cfg := batchFixture(40)
-	for _, mode := range []Mode{ModeEstimated, ModeTrue} {
-		seqE := New(testSchema())
-		seqE.SetBatchWorkers(1)
-		parE := New(testSchema())
-		parE.SetBatchWorkers(8)
-
-		for _, pass := range []string{"cold", "warm"} {
-			want, err := seqE.CostBatch(context.Background(), items, cfg, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := parE.CostBatch(context.Background(), items, cfg, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("mode %v %s cache: parallel %v != sequential %v (not bit-identical)",
-					mode, pass, got, want)
-			}
-		}
-
-		// RuntimeBatch must match the item-by-item RuntimeCost sum too.
-		var want float64
+	ref := New(testSchema())
+	sum := func(cost func(q *sqlx.Query) (float64, error)) float64 {
+		var total float64
 		for _, it := range items {
-			c, err := seqE.RuntimeCost(it.Q, cfg)
+			c, err := cost(it.Query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want += it.Weight * c
+			total += c * it.Weight
 		}
-		got, err := parE.RuntimeBatch(context.Background(), items, cfg)
-		if err != nil {
-			t.Fatal(err)
+		return total
+	}
+	type batch struct {
+		name string
+		want float64
+		run  func(e *Engine) (float64, error)
+	}
+	var batches []batch
+	for _, mode := range []Mode{ModeEstimated, ModeTrue} {
+		batches = append(batches, batch{
+			name: "CostBatch/" + mode.String(),
+			want: sum(func(q *sqlx.Query) (float64, error) { return ref.QueryCost(q, cfg, mode) }),
+			run: func(e *Engine) (float64, error) {
+				return e.CostBatch(context.Background(), items, cfg, mode)
+			},
+		})
+	}
+	batches = append(batches, batch{
+		name: "RuntimeBatch",
+		want: sum(func(q *sqlx.Query) (float64, error) { return ref.RuntimeCost(q, cfg) }),
+		run: func(e *Engine) (float64, error) {
+			return e.RuntimeBatch(context.Background(), items, cfg)
+		},
+	})
+	for _, b := range batches {
+		e := New(testSchema())
+		for _, pass := range []string{"cold", "warm"} {
+			got, err := b.run(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(b.want) {
+				t.Fatalf("%s, %s cache: %v != item sum %v (not bit-identical)", b.name, pass, got, b.want)
+			}
 		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("mode %v: RuntimeBatch %v != sequential %v (not bit-identical)", mode, got, want)
+		if st := e.CacheStats(); st.Hits < uint64(len(items)) {
+			t.Fatalf("%s: warm pass hit the cache %d times, want at least %d", b.name, st.Hits, len(items))
 		}
 	}
 }
 
+// cancelAt cancels a context at its n-th engine.cost hit and counts
+// every hit.
+type cancelAt struct {
+	n, hits int
+	cancel  context.CancelFunc
+}
+
+func (c *cancelAt) Fire(string) error {
+	c.hits++
+	if c.hits == c.n {
+		c.cancel()
+	}
+	return nil
+}
+
 // TestCostBatchCancellation verifies a canceled context aborts the batch
-// with the context's error on both the sequential and parallel paths.
+// with the context's error, and that a context canceled mid-batch stops
+// it before the next item.
 func TestCostBatchCancellation(t *testing.T) {
 	items, cfg := batchFixture(16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
+	e := New(testSchema())
+	if _, err := e.CostBatch(ctx, items, cfg, ModeEstimated); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if _, err := e.RuntimeBatch(ctx, items, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RuntimeBatch err = %v, want context.Canceled", err)
+	}
+
+	for _, rt := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		in := &cancelAt{n: 3, cancel: cancel}
 		e := New(testSchema())
-		e.SetBatchWorkers(workers)
-		if _, err := e.CostBatch(ctx, items, cfg, ModeEstimated); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		e.SetInjector(in)
+		var err error
+		if rt {
+			_, err = e.RuntimeBatch(ctx, items, cfg)
+		} else {
+			_, err = e.CostBatch(ctx, items, cfg, ModeEstimated)
 		}
-		if _, err := e.RuntimeBatch(ctx, items, cfg); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: RuntimeBatch err = %v, want context.Canceled", workers, err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("runtime=%v: err = %v, want context.Canceled", rt, err)
+		}
+		if in.hits != in.n {
+			t.Fatalf("runtime=%v: priced %d items after a cancel at item %d", rt, in.hits, in.n)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package obs is a stdlib-only observability layer for the TRAP system:
 // atomic counters and gauges, streaming histograms with quantile
 // estimates, callback gauges for cheaply-derived values (cache sizes, hit
-// ratios), and a process-wide registry with a text exposition format
-// served by trapd's GET /metrics.
+// ratios), and a process-wide registry with the Prometheus and
+// OpenMetrics text expositions (prom.go) served by trapd's GET /metrics.
 //
 // Metrics are get-or-create by name, so hot paths keep a package-level
 // pointer and pay one atomic op per event:
@@ -19,10 +19,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,16 +193,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Mean returns the mean observed value (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // Quantile estimates the q-quantile (q in [0, 1]) from the buckets.
 // Estimates carry the bucket's relative error (<9%); the extremes are
 // clamped to the exact observed min and max. Returns 0 with no data.
@@ -243,24 +230,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Snapshot is a point-in-time histogram summary.
-type Snapshot struct {
-	Count              int64
-	Sum, Mean          float64
-	Min, Max           float64
-	P50, P90, P95, P99 float64
-}
-
-// Snapshot summarizes the histogram.
-func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
-		Min: h.Quantile(0), Max: h.Quantile(1),
-		P50: h.Quantile(0.50), P90: h.Quantile(0.90),
-		P95: h.Quantile(0.95), P99: h.Quantile(0.99),
-	}
 }
 
 // Span times one operation into a histogram.
@@ -476,58 +445,4 @@ func (r *Registry) Values() map[string]float64 {
 		out[he.name+"_p99"] = he.h.Quantile(0.99)
 	}
 	return out
-}
-
-// WriteText renders every metric in a Prometheus-style one-line-per-value
-// text format, sorted by name. Histograms expand into _count, _sum and
-// quantile lines.
-func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.RLock()
-	type line struct {
-		name string
-		val  float64
-		asI  bool
-	}
-	var lines []line
-	for n, c := range r.counters {
-		lines = append(lines, line{n, float64(c.Value()), true})
-	}
-	for n, g := range r.gauges {
-		lines = append(lines, line{n, g.Value(), false})
-	}
-	fns := make(map[string]func() float64, len(r.gaugeFuncs))
-	for n, fn := range r.gaugeFuncs {
-		fns[n] = fn
-	}
-	for n, h := range r.hists {
-		s := h.Snapshot()
-		lines = append(lines,
-			line{n + "_count", float64(s.Count), true},
-			line{n + "_sum", s.Sum, false},
-			line{n + `{q="0.5"}`, s.P50, false},
-			line{n + `{q="0.9"}`, s.P90, false},
-			line{n + `{q="0.95"}`, s.P95, false},
-			line{n + `{q="0.99"}`, s.P99, false},
-			line{n + "_max", s.Max, false},
-		)
-	}
-	r.mu.RUnlock()
-	// Callback gauges are evaluated outside the registry lock so they may
-	// themselves take locks (e.g. an engine's cache mutex).
-	for n, fn := range fns {
-		lines = append(lines, line{n, fn(), false})
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i].name < lines[j].name })
-	for _, l := range lines {
-		var err error
-		if l.asI {
-			_, err = fmt.Fprintf(w, "%s %d\n", l.name, int64(l.val))
-		} else {
-			_, err = fmt.Fprintf(w, "%s %g\n", l.name, l.val)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

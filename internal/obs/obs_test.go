@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,7 +83,7 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramEdgeCases(t *testing.T) {
 	h := &Histogram{}
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if h.Quantile(0.5) != 0 || h.Sum() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	h.Observe(0)    // underflow bucket
@@ -152,26 +151,20 @@ func TestRegistryExposition(t *testing.T) {
 		t.Fatal("counter identity lost")
 	}
 
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"requests_total 7\n",
-		"temperature 21.5\n",
-		"cache_entries 42\n",
-		"latency_seconds_count 2\n",
-		"latency_seconds_sum 2\n",
-		`latency_seconds{q="0.5"}`,
+	got := r.Values()
+	for name, want := range map[string]float64{
+		"requests_total":        7,
+		"temperature":           21.5,
+		"cache_entries":         42,
+		"latency_seconds_count": 2,
+		"latency_seconds_sum":   2,
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, out)
+		if v, ok := got[name]; !ok || v != want {
+			t.Errorf("Values()[%q] = %v (present %v), want %v", name, v, ok, want)
 		}
 	}
-	// Sorted output: cache_entries before latency before requests before temperature.
-	if strings.Index(out, "cache_entries") > strings.Index(out, "requests_total") {
-		t.Error("exposition not sorted")
+	if p99 := got["latency_seconds_p99"]; p99 < 1.5*0.9 || p99 > 1.5 {
+		t.Errorf("latency_seconds_p99 = %v, want about 1.5", p99)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package par provides the repository's one bounded fan-out primitive.
-// Every parallel phase — what-if cost batches (internal/engine), RL
-// trajectory rollouts (internal/core) and assessment measurement
-// (internal/assess) — runs item functions through ForEach and then
-// reduces the indexed results sequentially in index order, which is what
-// keeps their floating-point accumulations bit-identical across worker
-// counts.
+// Both parallel phases — RL trajectory rollouts (internal/core) and
+// assessment measurement (internal/assess) — run item functions through
+// ForEach and then reduce the indexed results sequentially in index
+// order, which is what keeps their floating-point accumulations
+// bit-identical across worker counts.
 package par
 
 import (
@@ -28,17 +27,6 @@ type panicBox struct{ v any }
 // fault-injected panics keep their synchronous crash semantics instead
 // of killing the process from an anonymous worker.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForEachWorker(ctx, workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorker is ForEach with the worker's identity passed to fn:
-// worker w (0 <= w < workers) never runs two fn calls concurrently, so
-// callers can hand each worker exclusive scratch (arenas, key buffers)
-// indexed by w instead of sharing pooled state across the fan-out.
-// Items are still claimed dynamically, so which items a worker receives
-// is schedule-dependent — only the scratch-exclusivity guarantee holds.
-// In the sequential path (workers <= 1) every call sees worker 0.
-func ForEachWorker(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -47,7 +35,7 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(worker, i int) e
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(0, i); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
@@ -61,7 +49,7 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(worker, i int) e
 		wg   sync.WaitGroup
 	)
 	errs := make([]error, n)
-	worker := func(w int) {
+	worker := func() {
 		defer wg.Done()
 		defer func() {
 			if r := recover(); r != nil {
@@ -79,7 +67,7 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(worker, i int) e
 				stop.Store(true)
 				return
 			}
-			if err := fn(w, i); err != nil {
+			if err := fn(i); err != nil {
 				errs[i] = err
 				stop.Store(true)
 				return
@@ -88,7 +76,7 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(worker, i int) e
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go worker(w)
+		go worker()
 	}
 	wg.Wait()
 	if p := pan.Load(); p != nil {

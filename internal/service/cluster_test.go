@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -341,6 +342,83 @@ func readSSE(t *testing.T, r io.Reader, limit int) []sseFrame {
 		}
 	}
 	return frames
+}
+
+// TestEventIDAndCursorParsing: an SSE Last-Event-ID (header or
+// ?last_event_id=) and a /v1/jobs cursor are read as whole plain
+// decimals; anything else is a 400, not a lenient prefix parse.
+func TestEventIDAndCursorParsing(t *testing.T) {
+	s := testServer(t)
+	h := s.Handler()
+	const id = "job-parse-test"
+	s.events.create(id)
+	for i := 0; i < 3; i++ {
+		s.events.publish(id, JobEvent{Type: evEpoch, Epoch: i + 1})
+	}
+	s.events.closeHub(id)
+	defer s.events.drop(id)
+
+	for _, tc := range []struct {
+		lastID string
+		code   int
+		seqs   string // ids replayed after it, when accepted
+	}{
+		{"1", http.StatusOK, "2,3"},
+		{"0", http.StatusOK, "1,2,3"},
+		{"12abc", http.StatusBadRequest, ""},
+		{"0x1f", http.StatusBadRequest, ""},
+		{"-3", http.StatusBadRequest, ""},
+		{"+1", http.StatusBadRequest, ""},
+		{" 1", http.StatusBadRequest, ""},
+		{"1 ", http.StatusBadRequest, ""},
+		{"99999999999999999999", http.StatusBadRequest, ""},
+	} {
+		for _, viaHeader := range []bool{true, false} {
+			req := httptest.NewRequest("GET", "/v1/jobs/"+id+"/events", nil)
+			if viaHeader {
+				req.Header.Set("Last-Event-ID", tc.lastID)
+			} else {
+				req.URL.RawQuery = url.Values{"last_event_id": {tc.lastID}}.Encode()
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != tc.code {
+				t.Fatalf("last event id %q (header %v): %d %s, want %d", tc.lastID, viaHeader, rec.Code, rec.Body, tc.code)
+			}
+			if tc.code != http.StatusOK {
+				continue
+			}
+			var seqs []string
+			for _, line := range strings.Split(rec.Body.String(), "\n") {
+				if v, ok := strings.CutPrefix(line, "id: "); ok {
+					seqs = append(seqs, v)
+				}
+			}
+			if got := strings.Join(seqs, ","); got != tc.seqs {
+				t.Fatalf("last event id %q (header %v) replayed %q, want %q", tc.lastID, viaHeader, got, tc.seqs)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		cursor string
+		code   int
+	}{
+		{"job-3", http.StatusOK},
+		{"job-5x", http.StatusBadRequest},
+		{"job--3", http.StatusBadRequest},
+		{"job-+3", http.StatusBadRequest},
+		{"job-0x1f", http.StatusBadRequest},
+		{"job-", http.StatusBadRequest},
+		{"job-0", http.StatusBadRequest},
+		{"5", http.StatusBadRequest},
+		{"job-99999999999999999999", http.StatusBadRequest},
+	} {
+		path := "/v1/jobs?" + url.Values{"cursor": {tc.cursor}}.Encode()
+		if code, body := getPath(t, h, path); code != tc.code {
+			t.Fatalf("cursor %q: %d %s, want %d", tc.cursor, code, body, tc.code)
+		}
+	}
 }
 
 // TestSSEStreamAndResume runs a training job against a real listener,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -275,13 +276,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// parseEventID parses an SSE event ID (a decimal Seq).
+// parseEventID parses an SSE event ID: a Seq written as a plain
+// decimal, with no sign, base prefix or trailing text.
 func parseEventID(s string) (int64, error) {
-	var n int64
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 0 {
+	n, err := strconv.ParseUint(s, 10, 63)
+	if err != nil {
 		return 0, fmt.Errorf("bad event id %q", s)
 	}
-	return n, nil
+	return int64(n), nil
 }
 
 // writeSSE renders one event as an SSE frame: id, event type, and the

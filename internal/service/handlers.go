@@ -178,12 +178,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // counters/gauges as families with # TYPE headers, histograms as
 // cumulative _bucket/_sum/_count series. ?format=openmetrics upgrades
 // to OpenMetrics with exemplars linking slow histogram buckets to trace
-// IDs; ?format=plain keeps the legacy name/value dump.
+// IDs.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Query().Get("format") {
-	case "plain":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = s.reg.WriteText(w)
 	case "openmetrics":
 		w.Header().Set("Content-Type", obs.ContentTypeOpenMetrics)
 		_ = s.reg.WriteProm(w, true)
@@ -403,8 +400,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	resp, err := runBounded(ctx, func() (*adviseResponse, error) {
 		// Learned advisors are trained on the suite's training workloads
-		// first; heuristics recommend directly.
-		adv, err := suite.BuildAdvisor(spec)
+		// first, until the request's deadline; heuristics recommend
+		// directly.
+		adv, err := suite.BuildAdvisorCtx(ctx, spec)
 		if err != nil {
 			return nil, err
 		}

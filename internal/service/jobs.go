@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,14 +84,18 @@ type Job struct {
 	Finished *time.Time `json:"finished,omitempty"`
 }
 
-// jobNum extracts the numeric suffix of a "job-N" ID (0 when malformed);
-// it orders the list endpoint and anchors its cursor.
+// jobNum extracts N from a "job-N" ID, N a plain decimal (0 when
+// malformed); it orders the list endpoint and anchors its cursor.
 func jobNum(id string) int64 {
-	var n int64
-	if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil {
+	rest, ok := strings.CutPrefix(id, "job-")
+	if !ok {
 		return 0
 	}
-	return n
+	n, err := strconv.ParseUint(rest, 10, 63)
+	if err != nil {
+		return 0
+	}
+	return int64(n)
 }
 
 // priority maps the job's stored class name back to the scheduler class.

@@ -97,18 +97,6 @@ type Config struct {
 	Seed int64
 	// Workers sizes the assessment worker pool (default runtime.NumCPU()).
 	Workers int
-	// CostWorkers sizes each suite engine's CostBatch fan-out pool
-	// (default 0: GOMAXPROCS at call time; 1 forces sequential costing).
-	CostWorkers int
-	// TrainWorkers sizes the RL trajectory rollout pool of every
-	// framework the suites build (default 0: GOMAXPROCS at call time;
-	// 1 forces sequential rollouts). Trained parameters are bit-identical
-	// for every value.
-	TrainWorkers int
-	// AssessWorkers sizes each suite's per-workload measurement pool
-	// (default 0: GOMAXPROCS at call time; 1 forces sequential
-	// measurement). Assessments are bit-identical for every value.
-	AssessWorkers int
 	// EnablePprof mounts net/http/pprof profiling endpoints under
 	// /debug/pprof/ (off by default: profiles expose internals, so the
 	// flag is an explicit opt-in).
@@ -380,9 +368,6 @@ func NewServer(cfg Config) (_ *Server, err error) {
 		}
 		suite.Inject = cfg.Injector
 		suite.E.SetInjector(cfg.Injector)
-		suite.E.SetBatchWorkers(cfg.CostWorkers)
-		suite.TrainWorkers = cfg.TrainWorkers
-		suite.MeasureWorkers = cfg.AssessWorkers
 		s.suites[name] = suite
 		s.log.Info(context.Background(), "trapd: suite built",
 			"dataset", name, "elapsed", time.Since(t0).Round(time.Millisecond),

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,6 +238,55 @@ func TestRequestDeadline(t *testing.T) {
 	})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("expected 504, got %d %s", code, body)
+	}
+}
+
+// costCounter is an injector that only counts engine.cost hits.
+type costCounter struct{ hits atomic.Int64 }
+
+func (c *costCounter) Fire(string) error {
+	c.hits.Add(1)
+	return nil
+}
+
+// TestAdviseDeadlineStopsTraining: when /v1/advise trains a learned
+// advisor past the request deadline, training stops within about a
+// second of the 504 instead of running to the end on an abandoned
+// goroutine.
+func TestAdviseDeadlineStopsTraining(t *testing.T) {
+	p := tinyParams()
+	p.AdvisorEpisodes = 1_000_000
+	in := &costCounter{}
+	s, err := NewServer(Config{
+		Datasets:       []string{"tpch"},
+		Params:         p,
+		Seed:           7,
+		Workers:        1,
+		RequestTimeout: 200 * time.Millisecond,
+		Injector:       in,
+		Logger:         discardLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	code, body := postJSON(t, s.Handler(), "/v1/advise", adviseRequest{
+		Dataset: "tpch",
+		Advisor: "SWIRL",
+		Queries: []string{"SELECT lineitem.l_quantity FROM lineitem WHERE lineitem.l_orderkey = 5"},
+	})
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("expected 504, got %d %s", code, body)
+	}
+	if in.hits.Load() == 0 {
+		t.Fatal("training priced no query before the deadline; the check proves nothing")
+	}
+	// SWIRL checks its context at every episode boundary.
+	time.Sleep(time.Second)
+	before := in.hits.Load()
+	time.Sleep(500 * time.Millisecond)
+	if after := in.hits.Load(); after != before {
+		t.Fatalf("training still running after the 504: %d what-if calls in 500ms", after-before)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/trap-repro/trap/internal/obs"
 	"github.com/trap-repro/trap/internal/trace"
 )
 
@@ -150,9 +151,9 @@ func TestJobTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMetricsFormats checks the three /metrics expositions: Prometheus
-// 0.0.4 by default, OpenMetrics (with exemplars and # EOF) and the
-// legacy plain dump on request.
+// TestMetricsFormats checks the two /metrics expositions: Prometheus
+// 0.0.4 by default (also for the retired ?format=plain) and OpenMetrics
+// (with exemplars and # EOF) on request.
 func TestMetricsFormats(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
@@ -184,11 +185,10 @@ func TestMetricsFormats(t *testing.T) {
 	}
 
 	rec = getRecorder(t, h, "/metrics?format=plain")
-	plain := rec.Body.String()
-	if strings.Contains(plain, "# TYPE") {
-		t.Fatalf("legacy format should have no TYPE headers:\n%.200s", plain)
+	if ct := rec.Header().Get("Content-Type"); ct != obs.ContentTypeProm {
+		t.Fatalf("?format=plain content type: %q, want the Prometheus default", ct)
 	}
-	if !strings.Contains(plain, "trapd_http_requests_total") {
-		t.Fatalf("legacy format missing counters:\n%.200s", plain)
+	if !strings.Contains(rec.Body.String(), "# TYPE trapd_http_requests_total counter") {
+		t.Fatalf("?format=plain did not serve the Prometheus exposition:\n%.200s", rec.Body.String())
 	}
 }

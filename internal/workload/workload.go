@@ -9,7 +9,6 @@ package workload
 import (
 	"context"
 	"strings"
-	"sync"
 
 	"github.com/trap-repro/trap/internal/engine"
 	"github.com/trap-repro/trap/internal/obs"
@@ -29,10 +28,8 @@ var (
 
 // Item is one workload entry: a query and its weight (frequency). The
 // assessments use unit weights, matching the paper's fair-comparison setup.
-type Item struct {
-	Query  *sqlx.Query
-	Weight float64
-}
+// It is the engine's batch item, so Items go to CostBatch as they are.
+type Item = engine.CostItem
 
 // Workload is a weighted set of queries, W = {(q, e)}.
 type Workload struct {
@@ -115,43 +112,11 @@ func Cost(e *engine.Engine, w *Workload, cfg schema.Config, mode engine.Mode) (f
 	return CostCtx(context.Background(), e, w, cfg, mode)
 }
 
-// costItemsPool recycles the per-call CostItem slices of CostCtx and
-// RuntimeCostCtx: the advisor's greedy what-if loop prices the same
-// workload hundreds of times, and a fresh conversion slice per call
-// dominated this package's allocation profile. The engine does not
-// retain the slice past the batch call, so pooling is safe. A slice goes
-// back cleared (putCostItems): a pooled slice holding query pointers
-// would keep the last workloads' queries, and everything memoized on
-// them, alive until the pool drains.
-var costItemsPool = sync.Pool{New: func() any { return new([]engine.CostItem) }}
-
-func costItems(w *Workload) *[]engine.CostItem {
-	p := costItemsPool.Get().(*[]engine.CostItem)
-	items := *p
-	if cap(items) < len(w.Items) {
-		items = make([]engine.CostItem, len(w.Items))
-	}
-	items = items[:len(w.Items)]
-	for i, it := range w.Items {
-		items[i] = engine.CostItem{Q: it.Query, Weight: it.Weight}
-	}
-	*p = items
-	return p
-}
-
-func putCostItems(p *[]engine.CostItem) {
-	clear(*p)
-	costItemsPool.Put(p)
-}
-
 // CostCtx is Cost with cooperative cancellation: costing stops at the
 // next query boundary once ctx is done.
 func CostCtx(ctx context.Context, e *engine.Engine, w *Workload, cfg schema.Config, mode engine.Mode) (float64, error) {
 	mCostEvals.Inc()
-	p := costItems(w)
-	c, err := e.CostBatch(ctx, *p, cfg, mode)
-	putCostItems(p)
-	return c, err
+	return e.CostBatch(ctx, w.Items, cfg, mode)
 }
 
 // RuntimeCost evaluates the workload with the actual-runtime stand-in.
@@ -164,10 +129,7 @@ func RuntimeCost(e *engine.Engine, w *Workload, cfg schema.Config) (float64, err
 // assessment does not drain the whole runtime-costing loop.
 func RuntimeCostCtx(ctx context.Context, e *engine.Engine, w *Workload, cfg schema.Config) (float64, error) {
 	mRuntimeEvals.Inc()
-	p := costItems(w)
-	c, err := e.RuntimeBatch(ctx, *p, cfg)
-	putCostItems(p)
-	return c, err
+	return e.RuntimeBatch(ctx, w.Items, cfg)
 }
 
 // Utility computes the index utility of Definition 3.2:
