@@ -49,9 +49,10 @@ go test -race -timeout 300s -count=1 ./internal/joblog ./internal/admission
 # The GEMM kernels carry a bit-identity contract: blocked/fused
 # forward and backward must match the naive k-ascending reference
 # exactly, on odd shapes and across worker counts, with the race
-# detector watching the fan-out.
+# detector watching the fan-out. So do the GRU Step and the BiGRU's
+# shared encoder pass, against the per-step reference of gruref_test.go.
 go test -race -timeout 300s -count=1 \
-    -run 'TestGEMM|TestArenaTrimReleasesOneOffPeak' ./internal/nn
+    -run 'TestGEMM|TestArenaTrimReleasesOneOffPeak|TestGRUStepMatchesReference|TestBiGRUPassMatchesReference' ./internal/nn
 # The GBDT trainer carries one too: the presorted tree builder must grow
 # the reference per-node-sort builder's trees bit for bit, on synthetic
 # edge cases, on a real suite's utility training set and under a short
@@ -86,6 +87,9 @@ go test -run='^$' -bench=CostBatch -benchtime=1x -timeout 120s ./internal/engine
 # One op of each planner micro-benchmark: a first plan of a fresh query,
 # and a plan of an already-planned query under a new configuration.
 go test -run='^$' -bench='PlanCold|PlanWarmQuery' -benchtime=1x -timeout 120s ./internal/engine
+# One op of each GRU micro-benchmark (a step forward, an encoder pass,
+# a backward through a sequence) on a warm graph.
+go test -run='^$' -bench='GRU' -benchtime=1x -timeout 120s ./internal/nn
 # Allocation-regression smoke: BenchmarkRollout asserts a hard
 # allocs-per-decode budget (the tensor arena's dividend) and fails the
 # build if a change regresses past it.

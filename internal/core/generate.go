@@ -25,6 +25,10 @@ type DecodeResult struct {
 	Edits   int
 	Steps   []DecStep
 	Choices []int // chosen token ids at actionable steps (for replay)
+
+	// pass is the encoder pass the decode began from (nil when the model
+	// has none to share), valid until the Reset of the graph it lives on.
+	pass *encPass
 }
 
 // Decode generates a perturbed query from q using the model's policy,
@@ -33,9 +37,26 @@ type DecodeResult struct {
 // greedy argmax is used (the self-critic baseline). The graph g controls
 // whether gradients are recorded.
 func Decode(g *nn.Graph, m Scorer, v *Vocab, q *sqlx.Query, c PerturbConstraint, eps int, sample bool, rng *rand.Rand) (*DecodeResult, error) {
+	return decodeFrom(g, m, v, q, c, eps, sample, rng, nil)
+}
+
+// decodeFrom is Decode for a model that can share its encoder pass:
+// given a pass of q (from an earlier decode under the same parameters)
+// it begins from that pass; otherwise it computes one on g and returns
+// it in the result. Other models encode q as Decode does.
+func decodeFrom(g *nn.Graph, m Scorer, v *Vocab, q *sqlx.Query, c PerturbConstraint, eps int, sample bool, rng *rand.Rand, pass *encPass) (*DecodeResult, error) {
 	sess := NewSession(v, q, c, eps)
-	st := m.Begin(g, v.Encode(q))
 	res := &DecodeResult{}
+	var st DecState
+	if ps, ok := m.(passScorer); ok {
+		if pass == nil {
+			pass = ps.EncodePass(g, v.Encode(q))
+		}
+		res.pass = pass
+		st = ps.BeginPass(g, pass)
+	} else {
+		st = m.Begin(g, v.Encode(q))
+	}
 	for {
 		step, ok := sess.Next()
 		if !ok {

@@ -32,6 +32,26 @@ type Scorer interface {
 // DecState is a model-specific decoding state.
 type DecState interface{}
 
+// passScorer is a Scorer whose encoder forward pass can be computed once
+// and shared by several decodes of the same input under the same
+// parameters — the greedy baseline and the sampled trajectories of one
+// RL step. EncodePass runs the encoder off any tape; BeginPass starts a
+// decode from a pass, recording the encoder's backward on g when g
+// records. Begin(g, input) is BeginPass(g, EncodePass(g, input)), bit
+// for bit.
+type passScorer interface {
+	Scorer
+	EncodePass(g *nn.Graph, input []int) *encPass
+	BeginPass(g *nn.Graph, p *encPass) DecState
+}
+
+// encPass is one input's encoder forward pass, valid until the Reset of
+// the graph it was computed on.
+type encPass struct {
+	ids []int
+	enc *nn.BiGRUPass
+}
+
 // Sizes configures model dimensions.
 type Sizes struct {
 	Embed  int
@@ -119,11 +139,31 @@ func (m *TRAPModel) ResetDecoder(rng *rand.Rand) { m.initDecoder(rng) }
 
 // Begin implements Scorer.
 func (m *TRAPModel) Begin(g *nn.Graph, input []int) DecState {
+	return m.begin(g, m.enc.EncodePacked(g, m.embed(g, input)))
+}
+
+// EncodePass implements passScorer.
+func (m *TRAPModel) EncodePass(g *nn.Graph, input []int) *encPass {
+	return &encPass{ids: input, enc: m.enc.Pass(g, m.embed(g, input))}
+}
+
+// BeginPass implements passScorer: the encoder's input gradients land
+// in the embedding rows of the pass's tokens.
+func (m *TRAPModel) BeginPass(g *nn.Graph, p *encPass) DecState {
+	return m.begin(g, m.enc.Record(g, p.enc, m.embed(g, p.ids)))
+}
+
+// embed looks up the encoder inputs of a token-id sequence on g.
+func (m *TRAPModel) embed(g *nn.Graph, input []int) []*nn.Tensor {
 	xs := make([]*nn.Tensor, len(input))
 	for i, id := range input {
 		xs[i] = m.emb.Lookup(g, clampID(id, m.embRows))
 	}
-	H := m.enc.EncodePacked(g, xs)
+	return xs
+}
+
+// begin bridges the packed encoder states H into the decoder's state.
+func (m *TRAPModel) begin(g *nn.Graph, H *nn.Tensor) DecState {
 	s0 := g.Tanh(m.bridge.Apply(g, g.Col(H, H.C-1)))
 	return &trapState{att: &nn.AttCache{H: H}, s: s0, prev: 0}
 }

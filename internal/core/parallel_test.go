@@ -16,39 +16,86 @@ import (
 // bit-identical whether the B trajectories of a step run sequentially or
 // across 2 or 4 workers, because every trajectory owns a seed-derived
 // RNG stream and the gradient reduce is strictly in trajectory order.
-// Run under -race this also exercises the pool for data races.
+// The encoder models also share one encoder pass per query across the
+// pool. Run under -race this also exercises the pool for data races.
 func TestRLTrainBitIdenticalAcrossWorkers(t *testing.T) {
 	tf := newTrainFixture(t)
 	ctx := context.Background()
 	counts := []int{1, 2, 4}
-	// Build every framework before any training (training registers
-	// unseen tokens in the shared vocabulary; see
-	// TestCheckpointResumeEquivalence).
-	fws := make([]*Framework, len(counts))
-	for i := range counts {
-		fws[i] = tf.buildFW("GRU", 90)
-		fws[i].Batch = 5 // more trajectories than some worker counts
-		fws[i].RolloutWorkers = counts[i]
+	for _, model := range []string{"GRU", "TRAP", "Seq2Seq"} {
+		t.Run(model, func(t *testing.T) {
+			// Build every framework before any training (training
+			// registers unseen tokens in the shared vocabulary; see
+			// TestCheckpointResumeEquivalence).
+			fws := make([]*Framework, len(counts))
+			for i := range counts {
+				fws[i] = tf.buildFW(model, 90)
+				fws[i].Batch = 5 // more trajectories than some worker counts
+				fws[i].RolloutWorkers = counts[i]
+			}
+			var wantTrace []float64
+			var wantState any
+			for i, fw := range fws {
+				trace, err := fw.RLTrain(ctx, tf.f.e, tf.adv, nil, tf.c, tf.train, 2)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", counts[i], err)
+				}
+				state := fw.Model.Params().State()
+				if i == 0 {
+					wantTrace, wantState = trace, state
+					continue
+				}
+				if !reflect.DeepEqual(trace, wantTrace) {
+					t.Errorf("workers=%d reward trace diverged from workers=1:\n  %v\n  %v",
+						counts[i], trace, wantTrace)
+				}
+				if !reflect.DeepEqual(state, wantState) {
+					t.Errorf("workers=%d trained parameters diverged from workers=1", counts[i])
+				}
+			}
+		})
 	}
-	var wantTrace []float64
-	var wantState any
-	for i, fw := range fws {
-		trace, err := fw.RLTrain(ctx, tf.f.e, tf.adv, nil, tf.c, tf.train, 2)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", counts[i], err)
-		}
-		state := fw.Model.Params().State()
-		if i == 0 {
-			wantTrace, wantState = trace, state
-			continue
-		}
-		if !reflect.DeepEqual(trace, wantTrace) {
-			t.Errorf("workers=%d reward trace diverged from workers=1:\n  %v\n  %v",
-				counts[i], trace, wantTrace)
-		}
-		if !reflect.DeepEqual(state, wantState) {
-			t.Errorf("workers=%d trained parameters diverged from workers=1", counts[i])
-		}
+}
+
+// encodesAlone wraps a model and exposes only the Scorer methods, so
+// the trainer cannot share an encoder pass and every trajectory encodes
+// its queries itself.
+type encodesAlone struct{ Scorer }
+
+// TestRLTrainSharedPassMatchesOwnEncode pins the shared encoder pass:
+// training an encoder model whose trajectories begin from the greedy
+// decode's pass must give the parameters and reward trace of the same
+// model with every trajectory encoding for itself, bit for bit.
+func TestRLTrainSharedPassMatchesOwnEncode(t *testing.T) {
+	tf := newTrainFixture(t)
+	ctx := context.Background()
+	for _, model := range []string{"TRAP", "Seq2Seq"} {
+		t.Run(model, func(t *testing.T) {
+			shared := tf.buildFW(model, 94)
+			alone := tf.buildFW(model, 94)
+			if _, ok := shared.Model.(passScorer); !ok {
+				t.Fatalf("%s does not share its encoder pass", model)
+			}
+			alone.Model = encodesAlone{alone.Model}
+			for _, fw := range []*Framework{shared, alone} {
+				fw.Batch = 3
+				fw.RolloutWorkers = 2
+			}
+			wantTrace, err := alone.RLTrain(ctx, tf.f.e, tf.adv, nil, tf.c, tf.train, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotTrace, err := shared.RLTrain(ctx, tf.f.e, tf.adv, nil, tf.c, tf.train, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotTrace, wantTrace) {
+				t.Errorf("reward trace diverged:\n  shared pass: %v\n  own encode:  %v", gotTrace, wantTrace)
+			}
+			if !reflect.DeepEqual(shared.Model.Params().State(), alone.Model.Params().State()) {
+				t.Error("shared-pass parameters differ from per-trajectory encoding")
+			}
+		})
 	}
 }
 

@@ -33,24 +33,28 @@ func epochAllocs(t *testing.T, tf *trainFixture, fw *Framework, workers int) uin
 // pool, so the gate compares 4 workers against 1 directly.
 func TestRLTrainAllocsFlatAcrossWorkers(t *testing.T) {
 	tf := newTrainFixture(t)
-	fw := tf.buildFW("GRU", 131)
-	fw.Batch = 4
-	// Warm at the widest pool so per-worker graphs, arenas and the plan
-	// cache exist before measuring.
-	fw.RolloutWorkers = 4
-	if _, err := fw.RLTrain(context.Background(), tf.f.e, tf.adv, nil, tf.c, tf.train, 2); err != nil {
-		t.Fatal(err)
+	for _, model := range []string{"GRU", "TRAP", "Seq2Seq"} {
+		t.Run(model, func(t *testing.T) {
+			fw := tf.buildFW(model, 131)
+			fw.Batch = 4
+			// Warm at the widest pool so per-worker graphs, arenas and the
+			// plan cache exist before measuring.
+			fw.RolloutWorkers = 4
+			if _, err := fw.RLTrain(context.Background(), tf.f.e, tf.adv, nil, tf.c, tf.train, 2); err != nil {
+				t.Fatal(err)
+			}
+			a1 := epochAllocs(t, tf, fw, 1)
+			a4 := epochAllocs(t, tf, fw, 4)
+			// Allow 25% slack plus a small constant for goroutine
+			// bookkeeping: three extra worker goroutines cost a few objects
+			// each, not a multiple of the per-epoch total.
+			limit := a1 + a1/4 + 512
+			if a4 > limit {
+				t.Fatalf("allocs scale with workers: 1 worker => %d, 4 workers => %d (limit %d)", a1, a4, limit)
+			}
+			t.Logf("epoch allocs: workers=1 %d, workers=4 %d", a1, a4)
+		})
 	}
-	a1 := epochAllocs(t, tf, fw, 1)
-	a4 := epochAllocs(t, tf, fw, 4)
-	// Allow 25% slack plus a small constant for goroutine bookkeeping:
-	// three extra worker goroutines cost a few objects each, not a
-	// multiple of the per-epoch total.
-	limit := a1 + a1/4 + 512
-	if a4 > limit {
-		t.Fatalf("allocs scale with workers: 1 worker => %d, 4 workers => %d (limit %d)", a1, a4, limit)
-	}
-	t.Logf("epoch allocs: workers=1 %d, workers=4 %d", a1, a4)
 }
 
 // minEpochSeconds times `runs` single epochs at the given pool size and

@@ -404,20 +404,24 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 		// registers any unseen vocabulary tokens, triggers lazy advisor
 		// initialization and fills the utility cache deterministically,
 		// so the fanned-out rollouts below only read that shared state.
+		// Its decodes also compute each query's encoder pass, which every
+		// trajectory begins from and backpropagates through, so the
+		// greedy graph is reset only once the reduce below is done.
 		if f.greedyG == nil {
 			f.greedyG = nn.NewGraph(false)
 		}
 		gb := f.greedyG
+		defer gb.Reset()
 		greedy := &workload.Workload{}
-		for _, it := range w.Items {
+		passes := make([]*encPass, len(w.Items))
+		for k, it := range w.Items {
 			r, err := Decode(gb, f.Model, f.Vocab, it.Query, f.Constraint, f.Eps, false, f.rng)
 			if err != nil {
-				gb.Reset()
 				return 0, 0, nil
 			}
 			greedy.Items = append(greedy.Items, workload.Item{Query: r.Query, Weight: it.Weight})
+			passes[k] = r.pass
 		}
-		gb.Reset()
 		u, uErr := f.originalUtility(ctx, e, adv, baseAdv, c, w)
 		if uErr != nil {
 			// Below-θ workloads are skipped entirely (Definition 3.3).
@@ -449,11 +453,11 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 			rng := rand.New(rand.NewSource(trajSeed(es, int64(wi), int64(b))))
 			pert := &workload.Workload{}
 			var steps []DecStep
-			for _, it := range w.Items {
+			for k, it := range w.Items {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				r, err := Decode(g, f.Model, f.Vocab, it.Query, f.Constraint, f.Eps, true, rng)
+				r, err := decodeFrom(g, f.Model, f.Vocab, it.Query, f.Constraint, f.Eps, true, rng, passes[k])
 				if err != nil {
 					return nil
 				}

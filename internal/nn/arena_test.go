@@ -68,7 +68,7 @@ func trainOnce(t *testing.T, reuse bool) [][]float64 {
 		if !reuse {
 			g = NewGraph(true)
 		}
-		h := cell.InitState()
+		h := g.Alloc(cell.Hidden, 1)
 		for tok := 0; tok < 4; tok++ {
 			h = cell.Step(g, emb.Lookup(g, (step+tok)%12), h)
 		}

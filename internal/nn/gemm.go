@@ -72,11 +72,29 @@ func mulTo(out, a, b []float64, m, k, n int) {
 }
 
 // matvecTo computes out = a·x for a column vector x (n == 1). Each
-// out[i] is one contiguous dot product, k ascending.
+// out[i] is one dot product summed from zero, k ascending. A pass covers
+// four rows: each x[p] load feeds four independent accumulators, so the
+// four chains overlap instead of one add chain waiting on the last.
 func matvecTo(out, a, x []float64, m, k int) {
 	gemmCalls.Add(1)
 	gemmFlops.Add(2 * int64(m) * int64(k))
-	for i := 0; i < m; i++ {
+	x = x[:k]
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		a0 := a[(i+0)*k:][:k]
+		a1 := a[(i+1)*k:][:k]
+		a2 := a[(i+2)*k:][:k]
+		a3 := a[(i+3)*k:][:k]
+		var s0, s1, s2, s3 float64
+		for p, xv := range x {
+			s0 += a0[p] * xv
+			s1 += a1[p] * xv
+			s2 += a2[p] * xv
+			s3 += a3[p] * xv
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m; i++ {
 		out[i] = dot(a[i*k:i*k+k], x)
 	}
 }
@@ -134,18 +152,42 @@ func addOuter(dW, d, x []float64) {
 	}
 }
 
-// addMulTvec accumulates dx += Aᵀ·d: dx[p] += Σ_i A[i,p]·d[i], i
-// ascending.
+// addMulTvec accumulates dx += Aᵀ·d: each dx[p] is one chain that
+// starts from its existing value and adds d[i]·A[i,p] term by term, i
+// ascending, skipping rows whose d[i] is zero. A pass covers eight
+// output elements held in registers across the whole row loop; the
+// tail runs one element at a time.
 func addMulTvec(dx, a, d []float64, m, k int) {
-	for i := 0; i < m; i++ {
-		dv := d[i]
-		if dv == 0 {
-			continue
+	d = d[:m]
+	p := 0
+	for ; p+8 <= k; p += 8 {
+		o := dx[p : p+8 : p+8]
+		s0, s1, s2, s3, s4, s5, s6, s7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
+		off := p // A[i, p:p+8] starts at i·k+p
+		for _, dv := range d {
+			if dv != 0 {
+				r := a[off : off+8 : off+8]
+				s0 += dv * r[0]
+				s1 += dv * r[1]
+				s2 += dv * r[2]
+				s3 += dv * r[3]
+				s4 += dv * r[4]
+				s5 += dv * r[5]
+				s6 += dv * r[6]
+				s7 += dv * r[7]
+			}
+			off += k
 		}
-		row := a[i*k : i*k+k]
-		for p, av := range row {
-			dx[p] += dv * av
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	for ; p < k; p++ {
+		s := dx[p]
+		for i, dv := range d {
+			if dv != 0 {
+				s += dv * a[i*k+p]
+			}
 		}
+		dx[p] = s
 	}
 }
 

@@ -37,32 +37,39 @@ func naiveAddMulNT(dA, dOut, b []float64, m, k, n int) {
 	}
 }
 
+// naiveAddMulTN adds each term A[i,p]·dOut[i,j] straight into the
+// existing dB[p,j], i ascending, skipping zero A[i,p] as the kernel does:
+// starting from a nonzero dB, "sum, then add" would round differently.
 func naiveAddMulTN(dB, a, dOut []float64, m, k, n int) {
 	for p := 0; p < k; p++ {
 		for j := 0; j < n; j++ {
-			var s float64
 			for i := 0; i < m; i++ {
-				s += a[i*k+p] * dOut[i*n+j]
+				if av := a[i*k+p]; av != 0 {
+					dB[p*n+j] += av * dOut[i*n+j]
+				}
 			}
-			dB[p*n+j] += s
 		}
 	}
 }
 
-func naiveAddMulTvec(dx, a, d []float64, m, k int) {
-	for p := 0; p < k; p++ {
-		var s float64
-		for i := 0; i < m; i++ {
-			s += a[i*k+p] * d[i]
-		}
-		dx[p] += s
-	}
-}
+// addMulTvec's reference is refAddMulTvec (gruref_test.go): each term
+// goes straight into dx, rows ascending, zero d rows skipped.
 
 func randFloats(rng *rand.Rand, n int) []float64 {
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// withZeros sets about a quarter of x to exactly zero, so the kernels'
+// zero-skipping paths run.
+func withZeros(rng *rand.Rand, x []float64) []float64 {
+	for i := range x {
+		if rng.Intn(4) == 0 {
+			x[i] = 0
+		}
 	}
 	return x
 }
@@ -91,6 +98,7 @@ var gemmShapes = []struct{ m, k, n int }{
 	{13, 11, 17},
 	{32, 16, 1},
 	{33, 17, 3},
+	{48, 48, 1},
 	{64, 64, 64},
 }
 
@@ -112,26 +120,35 @@ func TestGEMMKernelsMatchNaiveBitwise(t *testing.T) {
 		mulTo(got, a, b, m, k, n)
 		eqBits(t, "mulTo(n==1)", got, want)
 
+		// Every accumulating kernel starts from a random existing value.
 		dOut := randFloats(rng, m*n)
-		gotA := make([]float64, m*k)
-		wantA := make([]float64, m*k)
+		gotA := randFloats(rng, m*k)
+		wantA := append([]float64(nil), gotA...)
 		addMulNT(gotA, dOut, b, m, k, n)
 		naiveAddMulNT(wantA, dOut, b, m, k, n)
 		eqBits(t, "addMulNT", gotA, wantA)
 
-		gotB := make([]float64, k*n)
-		wantB := make([]float64, k*n)
-		addMulTN(gotB, a, dOut, m, k, n)
-		naiveAddMulTN(wantB, a, dOut, m, k, n)
+		az := withZeros(rng, append([]float64(nil), a...))
+		gotB := randFloats(rng, k*n)
+		wantB := append([]float64(nil), gotB...)
+		addMulTN(gotB, az, dOut, m, k, n)
+		naiveAddMulTN(wantB, az, dOut, m, k, n)
 		eqBits(t, "addMulTN", gotB, wantB)
 
-		d := randFloats(rng, m)
-		gotX := make([]float64, k)
-		wantX := make([]float64, k)
-		addMulTvec(gotX, a, d, m, k)
-		naiveAddMulTvec(wantX, a, d, m, k)
-		eqBits(t, "addMulTvec", gotX, wantX)
+		checkAddMulTvec(t, rng, a, m, k)
 	}
+}
+
+// checkAddMulTvec compares addMulTvec with the term-by-term reference
+// from a random dx and a d with exact zeros.
+func checkAddMulTvec(t *testing.T, rng *rand.Rand, a []float64, m, k int) {
+	t.Helper()
+	d := withZeros(rng, randFloats(rng, m))
+	gotX := randFloats(rng, k)
+	wantX := append([]float64(nil), gotX...)
+	addMulTvec(gotX, a, d, m, k)
+	refAddMulTvec(wantX, a, d, m, k)
+	eqBits(t, "addMulTvec", gotX, wantX)
 }
 
 func TestGEMMKernelsFuzzBitwise(t *testing.T) {
@@ -150,6 +167,7 @@ func TestGEMMKernelsFuzzBitwise(t *testing.T) {
 			matvecTo(mv, a, b, m, k)
 			eqBits(t, "matvecTo(fuzz)", mv, got)
 		}
+		checkAddMulTvec(t, rng, a, m, k)
 	}
 }
 

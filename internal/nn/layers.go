@@ -170,75 +170,99 @@ func NewGRUCell(p *Params, name string, in, hidden int, rng *rand.Rand) *GRUCell
 
 // Step advances the cell one timestep: h_t = GRU(x_t, h_{t-1}).
 //
-// The whole cell is one fused op: the gate pre-activations are computed
-// with the deterministic row-dot kernels of gemm.go into arena scratch
-// and a single backward closure propagates every gradient, replacing
-// the ~17 tensors and ~15 tape entries the op-composed formulation
-// recorded per step. Accumulation order inside both passes is fixed, so
-// results are bit-identical across rollout worker counts.
+// The whole cell is one fused op: forward computes the gates with the
+// blocked kernels of gemm.go into arena scratch, and one backward
+// closure propagates every gradient, replacing the ~17 tensors and ~15
+// tape entries the op-composed formulation recorded per step. Every
+// element's accumulation order is fixed, so results are bit-identical
+// across rollout worker counts.
 func (c *GRUCell) Step(g *Graph, x, hPrev *Tensor) *Tensor {
 	h := c.Hidden
-	in := x.R
 	out := g.allocOut(h, 1)
-	z := g.floatsRaw(h)
-	r := g.floatsRaw(h)
-	ht := g.floatsRaw(h)
-	rh := g.floatsRaw(h)
-	for i := 0; i < h; i++ {
-		az := dot(c.Wz.W[i*in:i*in+in], x.W) + dot(c.Uz.W[i*h:i*h+h], hPrev.W) + c.Bz.W[i]
-		ar := dot(c.Wr.W[i*in:i*in+in], x.W) + dot(c.Ur.W[i*h:i*h+h], hPrev.W) + c.Br.W[i]
-		z[i] = 1 / (1 + math.Exp(-az))
-		r[i] = 1 / (1 + math.Exp(-ar))
-		rh[i] = r[i] * hPrev.W[i]
-	}
-	for i := 0; i < h; i++ {
-		ah := dot(c.Wh.W[i*in:i*in+in], x.W) + dot(c.Uh.W[i*h:i*h+h], rh) + c.Bh.W[i]
-		ht[i] = math.Tanh(ah)
-		out.W[i] = (1-z[i])*hPrev.W[i] + z[i]*ht[i]
-	}
+	act := g.floatsRaw(gruActs * h)
+	c.forward(x.W, hPrev.W, act, out.W)
 	if !g.NeedsGrad {
 		return out
 	}
-	// Backward scratch: daz/dar/dah are assigned before use and drh is
-	// zeroed explicitly inside the closure, so none needs a zeroed carve.
-	daz := g.floatsRaw(h)
-	dar := g.floatsRaw(h)
-	dah := g.floatsRaw(h)
-	drh := g.floatsRaw(h)
+	scr := g.floatsRaw(gruScratch * h) // assigned or zeroed before each read
 	g.addBack(func() {
-		dh := out.G
-		for i := 0; i < h; i++ {
-			dah[i] = dh[i] * z[i] * (1 - ht[i]*ht[i])
-			daz[i] = dh[i] * (ht[i] - hPrev.W[i]) * z[i] * (1 - z[i])
-			hPrev.G[i] += dh[i] * (1 - z[i])
-		}
-		// drh = Uhᵀ·dah, split into the reset gate and the carry path.
-		zeroFloats(drh)
-		addMulTvec(drh, c.Uh.W, dah, h, h)
-		for i := 0; i < h; i++ {
-			hPrev.G[i] += drh[i] * r[i]
-			dar[i] = drh[i] * hPrev.W[i] * r[i] * (1 - r[i])
-		}
-		addOuter(c.Wz.G, daz, x.W)
-		addOuter(c.Wr.G, dar, x.W)
-		addOuter(c.Wh.G, dah, x.W)
-		addOuter(c.Uz.G, daz, hPrev.W)
-		addOuter(c.Ur.G, dar, hPrev.W)
-		addOuter(c.Uh.G, dah, rh)
-		addVec(c.Bz.G, daz)
-		addVec(c.Br.G, dar)
-		addVec(c.Bh.G, dah)
-		addMulTvec(x.G, c.Wz.W, daz, h, in)
-		addMulTvec(x.G, c.Wr.W, dar, h, in)
-		addMulTvec(x.G, c.Wh.W, dah, h, in)
-		addMulTvec(hPrev.G, c.Uz.W, daz, h, h)
-		addMulTvec(hPrev.G, c.Ur.W, dar, h, h)
+		c.backward(out.G, x.W, x.G, hPrev.W, hPrev.G, act, scr)
 	})
 	return out
 }
 
-// InitState returns a zero hidden state.
-func (c *GRUCell) InitState() *Tensor { return NewTensor(c.Hidden, 1) }
+// gruActs is the number of hidden-long activation vectors one step
+// keeps for its backward: the update gate z, the reset gate r, the
+// candidate ht and r∘hPrev, packed in that order. gruScratch is the
+// backward's scratch: the pre-activation gradients of z, r and ht and
+// the reset path's Uhᵀ·dah.
+const (
+	gruActs    = 4
+	gruScratch = 4
+)
+
+// forward computes one step from x and hPrev into act (see gruActs) and
+// the new state hNew. The six gate products run through the blocked
+// matvec, with hNew doubling as the U·h scratch; each pre-activation is
+// (W·x) + (U·h) + b, added in that order.
+func (c *GRUCell) forward(x, hPrev, act, hNew []float64) {
+	h, in := c.Hidden, len(x)
+	z, r, ht, rh := act[:h], act[h:2*h], act[2*h:3*h], act[3*h:4*h]
+	matvecTo(z, c.Wz.W, x, h, in)
+	matvecTo(hNew, c.Uz.W, hPrev, h, h)
+	for i, b := range c.Bz.W {
+		z[i] = 1 / (1 + math.Exp(-(z[i] + hNew[i] + b)))
+	}
+	matvecTo(r, c.Wr.W, x, h, in)
+	matvecTo(hNew, c.Ur.W, hPrev, h, h)
+	for i, b := range c.Br.W {
+		r[i] = 1 / (1 + math.Exp(-(r[i] + hNew[i] + b)))
+		rh[i] = r[i] * hPrev[i]
+	}
+	matvecTo(ht, c.Wh.W, x, h, in)
+	matvecTo(hNew, c.Uh.W, rh, h, h)
+	for i, b := range c.Bh.W {
+		ht[i] = math.Tanh(ht[i] + hNew[i] + b)
+		hNew[i] = (1-z[i])*hPrev[i] + z[i]*ht[i]
+	}
+}
+
+// backward propagates dh, the gradient reaching one step's new state,
+// through that step: hg (hPrev's gradient) receives the carry, the
+// reset path, Uzᵀ·daz and Urᵀ·dar in that order; the parameters their
+// rank-1 updates; xg Wzᵀ·daz, Wrᵀ·dar and Whᵀ·dah. act is the step's
+// forward activations and scr gruScratch·hidden floats of scratch.
+func (c *GRUCell) backward(dh, x, xg, hPrev, hg, act, scr []float64) {
+	h, in := c.Hidden, len(x)
+	z, r, ht, rh := act[:h], act[h:2*h], act[2*h:3*h], act[3*h:4*h]
+	daz, dar, dah, drh := scr[:h], scr[h:2*h], scr[2*h:3*h], scr[3*h:4*h]
+	for i := 0; i < h; i++ {
+		dah[i] = dh[i] * z[i] * (1 - ht[i]*ht[i])
+		daz[i] = dh[i] * (ht[i] - hPrev[i]) * z[i] * (1 - z[i])
+		hg[i] += dh[i] * (1 - z[i])
+	}
+	// drh = Uhᵀ·dah, split into the reset gate and the carry path.
+	zeroFloats(drh)
+	addMulTvec(drh, c.Uh.W, dah, h, h)
+	for i := 0; i < h; i++ {
+		hg[i] += drh[i] * r[i]
+		dar[i] = drh[i] * hPrev[i] * r[i] * (1 - r[i])
+	}
+	addOuter(c.Wz.G, daz, x)
+	addOuter(c.Wr.G, dar, x)
+	addOuter(c.Wh.G, dah, x)
+	addOuter(c.Uz.G, daz, hPrev)
+	addOuter(c.Ur.G, dar, hPrev)
+	addOuter(c.Uh.G, dah, rh)
+	addVec(c.Bz.G, daz)
+	addVec(c.Br.G, dar)
+	addVec(c.Bh.G, dah)
+	addMulTvec(xg, c.Wz.W, daz, h, in)
+	addMulTvec(xg, c.Wr.W, dar, h, in)
+	addMulTvec(xg, c.Wh.W, dah, h, in)
+	addMulTvec(hg, c.Uz.W, daz, h, h)
+	addMulTvec(hg, c.Ur.W, dar, h, h)
+}
 
 // BiGRU is a bidirectional GRU encoder: a forward and a backward cell
 // whose per-position states are concatenated (Section IV-A, Step 1).
@@ -254,46 +278,139 @@ func NewBiGRU(p *Params, name string, in, hidden int, rng *rand.Rand) *BiGRU {
 	}
 }
 
-// Encode maps a sequence of input vectors to per-position states
-// h_i = [h^f_i ; h^b_i] of size 2·hidden.
-func (b *BiGRU) Encode(g *Graph, xs []*Tensor) []*Tensor {
-	n := len(xs)
-	fw := make([]*Tensor, n)
-	bw := make([]*Tensor, n)
-	h := b.Fwd.InitState()
-	for i := 0; i < n; i++ {
-		h = b.Fwd.Step(g, xs[i], h)
-		fw[i] = h
-	}
-	h = b.Bwd.InitState()
-	for i := n - 1; i >= 0; i-- {
-		h = b.Bwd.Step(g, xs[i], h)
-		bw[i] = h
-	}
-	out := make([]*Tensor, n)
-	for i := 0; i < n; i++ {
-		out[i] = g.Concat(fw[i], bw[i])
-	}
-	return out
+// BiGRUPass is one encoder forward pass over a sequence, kept off any
+// tape: both cells' activations and states at every position. Record
+// turns it into the packed state matrix on a graph, so several graphs
+// that encode the same inputs with the same parameters (a greedy decode
+// and the sampled trajectories of one RL step) share one forward pass.
+type BiGRUPass struct {
+	n int
+	// fwd and bwd hold one row per position t: the activations of the
+	// cell's step at t (gruActs vectors) followed by its new state.
+	fwd, bwd []float64
+	zero     []float64 // both cells' initial state
 }
 
-// EncodePacked is Encode returning the packed per-position state matrix
-// H (2·hidden × n) whose column i is [h^f_i ; h^b_i] — the layout the
-// prepared attention (AttCache) and the decoder bridge consume
-// directly, replacing n per-position Concat tensors with one matrix.
+// gruRow returns the activations and state of one cell's step at
+// position t of a pass.
+func gruRow(seq []float64, h, t int) (act, state []float64) {
+	w := (gruActs + 1) * h
+	r := seq[t*w : (t+1)*w]
+	return r[:gruActs*h], r[gruActs*h:]
+}
+
+// Pass runs both cells over xs, carving every activation from g's arena
+// without recording anything, whatever g.NeedsGrad: the pass is valid
+// until g's next Reset.
+func (b *BiGRU) Pass(g *Graph, xs []*Tensor) *BiGRUPass {
+	n, h := len(xs), b.Fwd.Hidden
+	if n == 0 {
+		panic("nn: BiGRU pass needs a non-empty sequence")
+	}
+	p := &BiGRUPass{
+		n:    n,
+		fwd:  g.floatsRaw((gruActs + 1) * h * n),
+		bwd:  g.floatsRaw((gruActs + 1) * h * n),
+		zero: g.floats(h),
+	}
+	prev := p.zero
+	for t := 0; t < n; t++ {
+		act, state := gruRow(p.fwd, h, t)
+		b.Fwd.forward(xs[t].W, prev, act, state)
+		prev = state
+	}
+	prev = p.zero
+	for t := n - 1; t >= 0; t-- {
+		act, state := gruRow(p.bwd, h, t)
+		b.Bwd.forward(xs[t].W, prev, act, state)
+		prev = state
+	}
+	return p
+}
+
+// Record returns the pass's packed state matrix H (2·hidden × n) on g,
+// whose column i is [h^f_i ; h^b_i] — the layout the prepared attention
+// (AttCache) and the decoder bridge consume. When g records, the whole
+// backward through time is one closure, and the input gradients land
+// in xs[i].G. xs must hold the inputs the pass was computed from; they
+// may be Lookup views that share rows.
+func (b *BiGRU) Record(g *Graph, p *BiGRUPass, xs []*Tensor) *Tensor {
+	n, h := p.n, b.Fwd.Hidden
+	if len(xs) != n {
+		panic("nn: BiGRU record needs the pass's inputs")
+	}
+	H := g.allocOut(2*h, n)
+	for t := 0; t < n; t++ {
+		_, fs := gruRow(p.fwd, h, t)
+		_, bs := gruRow(p.bwd, h, t)
+		for i := 0; i < h; i++ {
+			H.W[i*n+t] = fs[i]
+			H.W[(h+i)*n+t] = bs[i]
+		}
+	}
+	if !g.NeedsGrad {
+		return H
+	}
+	scr := g.floatsRaw((gruScratch + 2) * h) // assigned or zeroed before each read
+	g.addBack(func() {
+		b.backprop(p, xs, H.G, scr)
+	})
+	return H
+}
+
+// EncodePacked maps a sequence of input vectors to the packed state
+// matrix H: Record over a Pass on the same graph.
 func (b *BiGRU) EncodePacked(g *Graph, xs []*Tensor) *Tensor {
-	n := len(xs)
-	fw := make([]*Tensor, n)
-	bw := make([]*Tensor, n)
-	h := g.Alloc(b.Fwd.Hidden, 1)
-	for i := 0; i < n; i++ {
-		h = b.Fwd.Step(g, xs[i], h)
-		fw[i] = h
+	return b.Record(g, b.Pass(g, xs), xs)
+}
+
+// backprop runs the backward through time from H's gradient dH in the
+// order a per-step tape ran it: the backward cell's steps at positions
+// 0…n−1 (it stepped from n−1 down), then the forward cell's at n−1…0.
+// Each state's gradient starts as its column of dH and then receives
+// the carry from the step that read it; the initial state's gradient
+// is dropped.
+func (b *BiGRU) backprop(p *BiGRUPass, xs []*Tensor, dH, scr []float64) {
+	n, h := p.n, b.Fwd.Hidden
+	step := scr[:gruScratch*h]
+	dh, dprev := scr[gruScratch*h:(gruScratch+1)*h], scr[(gruScratch+1)*h:(gruScratch+2)*h]
+	// Backward cell: rows h…2h−1 of dH; its step at t read the state at t+1.
+	stateGrad(dh, dH, h, n, 0)
+	for t := 0; t < n; t++ {
+		stateGrad(dprev, dH, h, n, t+1)
+		hPrev := p.zero
+		if t+1 < n {
+			_, hPrev = gruRow(p.bwd, h, t+1)
+		}
+		act, _ := gruRow(p.bwd, h, t)
+		b.Bwd.backward(dh, xs[t].W, xs[t].G, hPrev, dprev, act, step)
+		dh, dprev = dprev, dh
 	}
-	h = g.Alloc(b.Bwd.Hidden, 1)
-	for i := n - 1; i >= 0; i-- {
-		h = b.Bwd.Step(g, xs[i], h)
-		bw[i] = h
+	// Forward cell: rows 0…h−1; its step at t read the state at t−1.
+	stateGrad(dh, dH, 0, n, n-1)
+	for t := n - 1; t >= 0; t-- {
+		stateGrad(dprev, dH, 0, n, t-1)
+		hPrev := p.zero
+		if t > 0 {
+			_, hPrev = gruRow(p.fwd, h, t-1)
+		}
+		act, _ := gruRow(p.fwd, h, t)
+		b.Fwd.backward(dh, xs[t].W, xs[t].G, hPrev, dprev, act, step)
+		dh, dprev = dprev, dh
 	}
-	return g.PackColsPair(fw, bw)
+}
+
+// stateGrad sets dst to the gradient the packed matrix passes to one
+// state: zero plus column t of dH over rows off…off+len(dst)−1, or zero
+// when t lies outside the sequence (the initial state). It adds to a
+// zeroed buffer rather than copying, as the per-step tape accumulated
+// into a zeroed gradient, so a −0 in dH becomes +0 there too.
+func stateGrad(dst, dH []float64, off, n, t int) {
+	zeroFloats(dst)
+	if t < 0 || t >= n {
+		return
+	}
+	for i := range dst {
+		dst[i] += dH[(off+i)*n+t]
+	}
 }

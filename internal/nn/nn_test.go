@@ -206,8 +206,7 @@ func TestGradBiGRUAttention(t *testing.T) {
 	probe := RandTensor(8, 1, 1, rng)
 	loss := func() float64 {
 		return scalarLoss(func(g *Graph) *Tensor {
-			hs := enc.Encode(g, xs)
-			ctx, _ := att.Context(g, hs, s)
+			ctx, _ := att.ContextPre(g, &AttCache{H: enc.EncodePacked(g, xs)}, s)
 			return g.Dot(probe, ctx)
 		})
 	}

@@ -60,37 +60,6 @@ func (g *Graph) PackCols(parts ...*Tensor) *Tensor {
 	return out
 }
 
-// PackColsPair packs two equal-length vector sequences into one matrix
-// whose column t is [top[t]; bot[t]] — the bidirectional encoder's
-// per-position state matrix, built without a per-position Concat.
-func (g *Graph) PackColsPair(top, bot []*Tensor) *Tensor {
-	n := len(top)
-	if n == 0 || n != len(bot) {
-		panic("nn: PackColsPair needs matching non-empty sequences")
-	}
-	dt, db := top[0].R, bot[0].R
-	out := g.allocOut(dt+db, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < dt; i++ {
-			out.W[i*n+j] = top[j].W[i]
-		}
-		for i := 0; i < db; i++ {
-			out.W[(dt+i)*n+j] = bot[j].W[i]
-		}
-	}
-	g.addBack(func() {
-		for j := 0; j < n; j++ {
-			for i := 0; i < dt; i++ {
-				top[j].G[i] += out.G[i*n+j]
-			}
-			for i := 0; i < db; i++ {
-				bot[j].G[i] += out.G[(dt+i)*n+j]
-			}
-		}
-	})
-	return out
-}
-
 // Col returns column j of m as a column vector.
 func (g *Graph) Col(m *Tensor, j int) *Tensor {
 	out := g.allocOut(m.R, 1)

@@ -205,11 +205,14 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	f := trace.Filter{Op: q.Get("op"), Status: q.Get("status")}
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
+		// NaN, ±Inf and anything past the largest Duration would convert
+		// to a garbage (on amd64, minimum) Duration that keeps every trace.
+		d := ms * float64(time.Millisecond)
+		if err != nil || !(d >= 0 && d < math.MaxInt64) {
 			writeError(w, http.StatusBadRequest, "bad min_ms %q", v)
 			return
 		}
-		f.MinDur = time.Duration(ms * float64(time.Millisecond))
+		f.MinDur = time.Duration(d)
 	}
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)

@@ -143,8 +143,10 @@ func TestJobTraceEndToEnd(t *testing.T) {
 		t.Fatalf("unknown trace: %d", code)
 	}
 	// Bad filter params are 400s.
-	if code, _ := getPath(t, h, "/v1/traces?min_ms=nope"); code != http.StatusBadRequest {
-		t.Fatalf("bad min_ms: %d", code)
+	for _, v := range []string{"nope", "NaN", "Inf", "%2BInf", "1e300"} {
+		if code, _ := getPath(t, h, "/v1/traces?min_ms="+v); code != http.StatusBadRequest {
+			t.Fatalf("bad min_ms %s: %d", v, code)
+		}
 	}
 	if code, _ := getPath(t, h, "/v1/traces?status=bogus"); code != http.StatusBadRequest {
 		t.Fatalf("bad status: %d", code)
