@@ -8,20 +8,20 @@
 //	trapd [-addr :8080] [-datasets tpch,tpcds,transaction] [-scale quick|full]
 //	      [-workers N] [-queue N] [-seed 42]
 //	      [-request-timeout 30s] [-job-timeout 15m] [-max-body 1048576]
-//	      [-max-retries 2] [-retry-backoff 100ms] [-job-ttl 1h] [-gc-interval 1m]
-//	      [-spool DIR] [-checkpoint-every 1] [-inject SPEC] [-pprof]
-//	      [-joblog DIR] [-tenant-qps N] [-tenant-burst N] [-priority-queue]
+//	      [-job-ttl 1h] [-spool DIR] [-inject SPEC] [-pprof]
+//	      [-joblog DIR] [-tenant-qps N] [-priority-queue]
 //	      [-log-level info] [-log-format text|json]
-//	      [-trace-recent 64] [-trace-slow 8] [-trace-every 1]
+//	      [-trace-recent 64] [-trace-slow 8]
 //	      [-profile-dir DIR] [-profile-threshold 1s] [-profile-keep 8]
 //	      [-profile-cpu-window 1s]
 //
 // trapd shuts down gracefully on SIGINT/SIGTERM: the listener closes,
 // in-flight requests and running assessment jobs drain, and queued jobs
-// are canceled. With -spool set, RL training checkpoints every
-// -checkpoint-every epochs so canceled/crashed/retried jobs resume from
-// the last completed epoch. -inject arms the deterministic fault
-// harness (see internal/faultinject), e.g.
+// are canceled. Each job runs once; with -spool set, RL training
+// checkpoints after every epoch, so a canceled, failed or crashed job
+// that is resubmitted (or replayed from -joblog) resumes from the last
+// completed epoch. -inject arms the deterministic fault harness (see
+// internal/faultinject); an injected error fails its job, e.g.
 //
 //	trapd -spool /tmp/trapd -inject 'core.rl.epoch:error:count=1'
 //
@@ -34,7 +34,7 @@
 // X-Trap-Priority header (interactive jobs are dequeued before batch):
 //
 //	trapd -joblog /var/lib/trapd/joblog -spool /var/lib/trapd/spool \
-//	      -tenant-qps 5 -tenant-burst 10 -priority-queue
+//	      -tenant-qps 5 -priority-queue
 //
 // One trapd writes each of -joblog, -spool and -profile-dir: it locks
 // them at startup, before building any suite, and a second trapd on a
@@ -78,15 +78,10 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "synchronous request deadline")
 	jobTimeout := flag.Duration("job-timeout", 15*time.Minute, "assessment job deadline")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum request body bytes")
-	maxRetries := flag.Int("max-retries", 2, "max retries for jobs failing on transient errors (negative disables)")
-	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "base retry backoff (doubles per attempt, plus jitter)")
 	jobTTL := flag.Duration("job-ttl", time.Hour, "how long finished jobs stay queryable before GC")
-	gcInterval := flag.Duration("gc-interval", time.Minute, "job garbage-collection interval")
 	spool := flag.String("spool", "", "checkpoint spool directory (empty disables checkpoint/resume)")
-	ckptEvery := flag.Int("checkpoint-every", 1, "RL epochs between training checkpoints")
 	joblogDir := flag.String("joblog", "", "durable job-log directory, locked by this trapd (empty disables job durability)")
-	tenantQPS := flag.Float64("tenant-qps", 0, "per-tenant job submission rate (0 disables quotas)")
-	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant submission burst (default: ceil of -tenant-qps)")
+	tenantQPS := flag.Float64("tenant-qps", 0, "per-tenant job submission rate, in bursts of its ceiling (0 disables quotas)")
 	priorityQueue := flag.Bool("priority-queue", false, "honor the X-Trap-Priority header (interactive before batch)")
 	injectSpec := flag.String("inject", "", "fault-injection rules, e.g. 'core.rl.epoch:error:count=1;engine.cost:delay:every=100,delay=5ms'")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof endpoints under /debug/pprof/")
@@ -94,7 +89,6 @@ func main() {
 	logFormat := flag.String("log-format", olog.FormatText, "log format: text or json")
 	traceRecent := flag.Int("trace-recent", 0, "recency ring size of the trace store (default 64)")
 	traceSlow := flag.Int("trace-slow", 0, "slowest traces kept per operation (default 8)")
-	traceEvery := flag.Int("trace-every", 1, "head-sampling stride: trace every Nth job (1 = all)")
 	profileDir := flag.String("profile-dir", "", "continuous-profiling capture directory (empty disables)")
 	profileThreshold := flag.Duration("profile-threshold", 0, "span duration that triggers a profile capture (default 1s)")
 	profileKeep := flag.Int("profile-keep", 0, "profile captures retained before the oldest is pruned (default 8)")
@@ -151,15 +145,10 @@ func main() {
 		RequestTimeout:   *reqTimeout,
 		JobTimeout:       *jobTimeout,
 		MaxBodyBytes:     *maxBody,
-		MaxRetries:       *maxRetries,
-		RetryBackoff:     *retryBackoff,
 		JobTTL:           *jobTTL,
-		GCInterval:       *gcInterval,
 		SpoolDir:         *spool,
-		CheckpointEvery:  *ckptEvery,
 		JobLogDir:        *joblogDir,
 		TenantQPS:        *tenantQPS,
-		TenantBurst:      *tenantBurst,
 		PriorityQueue:    *priorityQueue,
 		Injector:         injector,
 		EnablePprof:      *enablePprof,
@@ -168,9 +157,7 @@ func main() {
 		ProfileKeep:      *profileKeep,
 		ProfileCPUWindow: *profileCPUWindow,
 		Logger:           logger,
-		Tracer: trace.New(trace.Options{
-			Recent: *traceRecent, SlowPerOp: *traceSlow, Every: *traceEvery,
-		}),
+		Tracer:           trace.New(trace.Options{Recent: *traceRecent, SlowPerOp: *traceSlow}),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trapd:", err)

@@ -57,13 +57,12 @@ func loadParams() assess.Params {
 // report is the BENCH_service.json shape: configuration, counters, and
 // the measured SLOs of one harness run.
 type report struct {
-	Jobs        int     `json:"jobs"`
-	Clients     int     `json:"clients"`
-	Tenants     int     `json:"tenants"`
-	Workers     int     `json:"workers"`
-	QueueDepth  int     `json:"queue_depth"`
-	TenantQPS   float64 `json:"tenant_qps"`
-	TenantBurst int     `json:"tenant_burst"`
+	Jobs       int     `json:"jobs"`
+	Clients    int     `json:"clients"`
+	Tenants    int     `json:"tenants"`
+	Workers    int     `json:"workers"`
+	QueueDepth int     `json:"queue_depth"`
+	TenantQPS  float64 `json:"tenant_qps"`
 
 	Accepted     int64 `json:"accepted"`
 	ShedQuota    int64 `json:"shed_quota"`    // 429 responses observed
@@ -107,8 +106,7 @@ func main() {
 	tenants := flag.Int("tenants", 8, "distinct tenants the jobs are spread over")
 	workers := flag.Int("workers", 0, "server worker pool size (default: NumCPU)")
 	queue := flag.Int("queue", 0, "server queue depth (default: 4x workers)")
-	tenantQPS := flag.Float64("tenant-qps", 4, "per-tenant admission rate (0 disables quotas)")
-	tenantBurst := flag.Int("tenant-burst", 4, "per-tenant admission burst")
+	tenantQPS := flag.Float64("tenant-qps", 4, "per-tenant admission rate, in bursts of its ceiling (0 disables quotas)")
 	interactiveEvery := flag.Int("interactive-every", 4, "every Nth job is submitted interactive (0 = all batch)")
 	seed := flag.Int64("seed", 42, "suite construction seed")
 	maxAttempts := flag.Int("max-attempts", 200, "submission attempts per job before giving up")
@@ -117,14 +115,14 @@ func main() {
 	out := flag.String("out", "BENCH_service.json", "output path for the JSON report")
 	flag.Parse()
 
-	if err := run(*jobs, *clients, *tenants, *workers, *queue, *tenantQPS, *tenantBurst,
+	if err := run(*jobs, *clients, *tenants, *workers, *queue, *tenantQPS,
 		*interactiveEvery, *seed, *maxAttempts, *sloAdmitP99, *timeout, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "trapload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(jobs, clients, tenants, workers, queue int, tenantQPS float64, tenantBurst,
+func run(jobs, clients, tenants, workers, queue int, tenantQPS float64,
 	interactiveEvery int, seed int64, maxAttempts int, sloAdmitP99, timeout time.Duration, out string) error {
 	srv, err := service.NewServer(service.Config{
 		Datasets:      []string{"tpch"},
@@ -134,7 +132,6 @@ func run(jobs, clients, tenants, workers, queue int, tenantQPS float64, tenantBu
 		QueueDepth:    queue,
 		JobTimeout:    5 * time.Minute,
 		TenantQPS:     tenantQPS,
-		TenantBurst:   tenantBurst,
 		PriorityQueue: true,
 		Registry:      obs.NewRegistry(),
 		Logger:        olog.New(io.Discard, slog.LevelInfo, olog.FormatText),
@@ -331,8 +328,7 @@ func run(jobs, clients, tenants, workers, queue int, tenantQPS float64, tenantBu
 
 	r := report{
 		Jobs: jobs, Clients: clients, Tenants: tenants,
-		Workers: workers, QueueDepth: queue,
-		TenantQPS: tenantQPS, TenantBurst: tenantBurst,
+		Workers: workers, QueueDepth: queue, TenantQPS: tenantQPS,
 		Accepted: accepted.Load(), ShedQuota: shedQuota.Load(),
 		ShedCapacity: shedCapacity.Load(), Retries: retries.Load(), GiveUps: giveUps.Load(),
 		AdmitP50Ms: ms(pct(admitLat, 0.50)), AdmitP95Ms: ms(pct(admitLat, 0.95)),

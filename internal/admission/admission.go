@@ -8,10 +8,10 @@
 //     worker pool dequeues interactive work first, so a human waiting on
 //     a result is not stuck behind a bulk re-assessment sweep.
 //   - Per-tenant quotas. Each tenant (the X-Trap-Tenant header) gets a
-//     token bucket refilled at TenantQPS with TenantBurst capacity. A
-//     tenant that exhausts its bucket is shed with 429 and a Retry-After
-//     equal to the time until its next token — other tenants are
-//     unaffected, so no tenant can starve the rest.
+//     token bucket refilled at the tenant rate and holding ceil(rate)
+//     tokens. A tenant that exhausts its bucket is shed with 429 and a
+//     Retry-After equal to the time until its next token — other
+//     tenants are unaffected, so no tenant can starve the rest.
 //   - Load shedding. When the queue itself is full the request is shed
 //     with 503 and a Retry-After derived from the observed drain rate
 //     (completions over a sliding window): clients are told how long the
@@ -64,62 +64,26 @@ func ParsePriority(s string) (Priority, error) {
 	return 0, fmt.Errorf("unknown priority %q (want interactive or batch)", s)
 }
 
-// Options parameterizes a Controller. The zero value disables quotas
-// and keeps only the drain-rate estimator.
-type Options struct {
-	// TenantQPS is the per-tenant token refill rate. <= 0 disables
-	// tenant quotas entirely (every tenant is always admitted).
-	TenantQPS float64
-	// TenantBurst is the bucket capacity (default: ceil(TenantQPS),
-	// minimum 1).
-	TenantBurst int
-	// MaxTenants bounds the bucket map; the stalest bucket is evicted
-	// past it (default 4096). An evicted tenant restarts with a full
-	// bucket, so eviction can only be too generous, never starve.
-	MaxTenants int
-	// DrainWindow is the sliding window the completion rate is measured
-	// over (default 16s, 1s resolution).
-	DrainWindow time.Duration
-	// FallbackRetry is the base Retry-After used before any completion
-	// has been observed (default 5s).
-	FallbackRetry time.Duration
-	// ColdPerJob scales the cold-start Retry-After with the backlog:
+// The controller's fixed policy.
+const (
+	// maxTenants bounds the bucket map, whose keys come from the outside
+	// X-Trap-Tenant header: past it the stalest bucket is evicted. An
+	// evicted tenant restarts with a full bucket, so eviction can only be
+	// too generous, never starve.
+	maxTenants = 4096
+	// drainWindow is the sliding window the completion rate is measured
+	// over, at 1 s resolution.
+	drainWindow = 16 * time.Second
+	// fallbackRetry and coldPerJob make the cold-start Retry-After:
 	// before any completion has been observed the hint is
-	// FallbackRetry + queued*ColdPerJob, so a deep queue on a freshly
-	// (re)started node does not invite an immediate thundering retry
-	// (default 250ms per queued job).
-	ColdPerJob time.Duration
-	// MinRetry/MaxRetry clamp every computed Retry-After
-	// (defaults 1s and 5m).
-	MinRetry, MaxRetry time.Duration
-}
-
-func (o *Options) fill() {
-	if o.TenantBurst <= 0 {
-		o.TenantBurst = int(math.Ceil(o.TenantQPS))
-		if o.TenantBurst < 1 {
-			o.TenantBurst = 1
-		}
-	}
-	if o.MaxTenants <= 0 {
-		o.MaxTenants = 4096
-	}
-	if o.DrainWindow <= 0 {
-		o.DrainWindow = 16 * time.Second
-	}
-	if o.FallbackRetry <= 0 {
-		o.FallbackRetry = 5 * time.Second
-	}
-	if o.ColdPerJob <= 0 {
-		o.ColdPerJob = 250 * time.Millisecond
-	}
-	if o.MinRetry <= 0 {
-		o.MinRetry = time.Second
-	}
-	if o.MaxRetry <= 0 {
-		o.MaxRetry = 5 * time.Minute
-	}
-}
+	// fallbackRetry + queued·coldPerJob, so a deep queue on a freshly
+	// (re)started node does not invite an immediate thundering retry.
+	fallbackRetry = 5 * time.Second
+	coldPerJob    = 250 * time.Millisecond
+	// minRetry and maxRetry clamp every computed Retry-After.
+	minRetry = time.Second
+	maxRetry = 5 * time.Minute
+)
 
 // Decision is the outcome of an admission check.
 type Decision struct {
@@ -149,12 +113,13 @@ type bucket struct {
 
 // Controller makes admission decisions. Build with New.
 type Controller struct {
-	o Options
+	qps   float64 // per-tenant token refill rate; <= 0 disables quotas
+	burst float64 // bucket capacity: ceil(qps), at least 1
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	// drain-rate ring: completions per second over DrainWindow. ring
+	// drain-rate ring: completions per second over drainWindow. ring
 	// slot s%len(ring) holds the count for unix second s, valid for
 	// seconds in (hi-len(ring), hi].
 	dmu   sync.Mutex
@@ -166,18 +131,21 @@ type Controller struct {
 	shedQuota atomic.Int64
 }
 
-// New builds a controller.
-func New(o Options) *Controller {
-	o.fill()
+// New builds a controller whose tenants may each submit tenantQPS jobs
+// per second, in bursts of ceil(tenantQPS). tenantQPS <= 0 disables
+// tenant quotas (every tenant is always admitted) and keeps only the
+// drain-rate estimator.
+func New(tenantQPS float64) *Controller {
 	return &Controller{
-		o:       o,
+		qps:     tenantQPS,
+		burst:   math.Max(1, math.Ceil(tenantQPS)),
 		buckets: map[string]*bucket{},
-		ring:    make([]int64, int(o.DrainWindow/time.Second)),
+		ring:    make([]int64, int(drainWindow/time.Second)),
 	}
 }
 
 // QuotaEnabled reports whether per-tenant quotas are active.
-func (c *Controller) QuotaEnabled() bool { return c.o.TenantQPS > 0 }
+func (c *Controller) QuotaEnabled() bool { return c.qps > 0 }
 
 // Admit charges one token to the tenant's bucket. With quotas disabled
 // it always admits. now is injected for testability; callers pass
@@ -190,15 +158,15 @@ func (c *Controller) Admit(tenant string, now time.Time) Decision {
 	c.mu.Lock()
 	b, ok := c.buckets[tenant]
 	if !ok {
-		if len(c.buckets) >= c.o.MaxTenants {
+		if len(c.buckets) >= maxTenants {
 			c.evictStalest()
 		}
-		b = &bucket{tokens: float64(c.o.TenantBurst), last: now}
+		b = &bucket{tokens: c.burst, last: now}
 		c.buckets[tenant] = b
 	}
 	// Refill, capped at burst.
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = math.Min(float64(c.o.TenantBurst), b.tokens+dt*c.o.TenantQPS)
+		b.tokens = math.Min(c.burst, b.tokens+dt*c.qps)
 		b.last = now
 	}
 	if b.tokens >= 1 {
@@ -207,7 +175,7 @@ func (c *Controller) Admit(tenant string, now time.Time) Decision {
 		c.admitted.Add(1)
 		return Decision{Admit: true}
 	}
-	need := (1 - b.tokens) / c.o.TenantQPS
+	need := (1 - b.tokens) / c.qps
 	c.mu.Unlock()
 	c.shedQuota.Add(1)
 	return Decision{
@@ -304,21 +272,15 @@ func (c *Controller) CapacityRetryAfter(queued int, now time.Time) time.Duration
 		// an infinite hint; returning the bare fallback regardless of
 		// backlog invites a thundering retry against a node that has a
 		// full queue and zero throughput history. Scale the floor with
-		// the backlog instead, inside the usual [MinRetry, MaxRetry].
-		return c.clamp(c.o.FallbackRetry + time.Duration(queued)*c.o.ColdPerJob)
+		// the backlog instead, inside the usual [minRetry, maxRetry].
+		return c.clamp(fallbackRetry + time.Duration(queued)*coldPerJob)
 	}
 	return c.clamp(time.Duration(float64(queued) / rate * float64(time.Second)))
 }
 
-// clamp bounds a Retry-After to [MinRetry, MaxRetry].
+// clamp bounds a Retry-After to [minRetry, maxRetry].
 func (c *Controller) clamp(d time.Duration) time.Duration {
-	if d < c.o.MinRetry {
-		return c.o.MinRetry
-	}
-	if d > c.o.MaxRetry {
-		return c.o.MaxRetry
-	}
-	return d
+	return min(max(d, minRetry), maxRetry)
 }
 
 // Stats returns a snapshot of the controller's counters.

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -31,9 +32,9 @@ func TestParsePriority(t *testing.T) {
 }
 
 func TestQuotaDisabledAlwaysAdmits(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	if c.QuotaEnabled() {
-		t.Fatal("zero options should disable quotas")
+		t.Fatal("a zero rate should disable quotas")
 	}
 	for i := 0; i < 100; i++ {
 		if d := c.Admit("anyone", t0); !d.Admit {
@@ -46,8 +47,8 @@ func TestQuotaDisabledAlwaysAdmits(t *testing.T) {
 }
 
 func TestTokenBucketQuota(t *testing.T) {
-	c := New(Options{TenantQPS: 2, TenantBurst: 2})
-	// Burst of 2 admits, third is shed.
+	c := New(2)
+	// Burst of ceil(2) = 2 admits, third is shed.
 	for i := 0; i < 2; i++ {
 		if d := c.Admit("acme", t0); !d.Admit {
 			t.Fatalf("burst admit %d shed: %+v", i, d)
@@ -57,7 +58,7 @@ func TestTokenBucketQuota(t *testing.T) {
 	if d.Admit || d.Reason != "tenant-quota" {
 		t.Fatalf("over-quota decision: %+v", d)
 	}
-	// Next token arrives in 1/QPS = 500ms; Retry-After clamps up to MinRetry.
+	// Next token arrives in 1/QPS = 500ms; Retry-After clamps up to minRetry.
 	if d.RetryAfter != time.Second {
 		t.Fatalf("RetryAfter = %v, want 1s (clamped)", d.RetryAfter)
 	}
@@ -84,7 +85,7 @@ func TestTokenBucketQuota(t *testing.T) {
 }
 
 func TestTenantIsolation(t *testing.T) {
-	c := New(Options{TenantQPS: 1, TenantBurst: 1})
+	c := New(1)
 	if d := c.Admit("noisy", t0); !d.Admit {
 		t.Fatalf("noisy first admit shed: %+v", d)
 	}
@@ -104,15 +105,21 @@ func TestTenantIsolation(t *testing.T) {
 }
 
 func TestMaxTenantsEviction(t *testing.T) {
-	c := New(Options{TenantQPS: 1, TenantBurst: 1, MaxTenants: 2})
+	c := New(1)
 	c.Admit("a", t0)
-	c.Admit("b", t0.Add(time.Second))
-	c.Admit("c", t0.Add(2*time.Second)) // evicts "a" (stalest)
-	if st := c.Stats(); st.Tenants != 2 {
-		t.Fatalf("tenants after eviction = %d, want 2", st.Tenants)
+	later := t0.Add(time.Second)
+	for i := 1; i < maxTenants; i++ {
+		c.Admit(fmt.Sprint("t", i), later)
+	}
+	if st := c.Stats(); st.Tenants != maxTenants {
+		t.Fatalf("tenants before eviction = %d, want %d", st.Tenants, maxTenants)
+	}
+	c.Admit("c", later) // evicts "a" (stalest)
+	if st := c.Stats(); st.Tenants != maxTenants {
+		t.Fatalf("tenants after eviction = %d, want %d", st.Tenants, maxTenants)
 	}
 	// "a" restarts with a full bucket — eviction is generous, not starving.
-	if d := c.Admit("a", t0.Add(2*time.Second)); !d.Admit {
+	if d := c.Admit("a", later); !d.Admit {
 		t.Fatalf("evicted tenant not re-admitted: %+v", d)
 	}
 }
@@ -120,10 +127,10 @@ func TestMaxTenantsEviction(t *testing.T) {
 // TestCapacityRetryAfterColdStart is the regression test for the
 // cold-start window: before any JobDone the drain rate is undefined, and
 // the hint must be a sane backlog-scaled floor — never zero, never below
-// MinRetry, never above MaxRetry, and growing with queue depth so a
+// minRetry, never above maxRetry, and growing with queue depth so a
 // freshly restarted node with a deep queue is not stampeded.
 func TestCapacityRetryAfterColdStart(t *testing.T) {
-	c := New(Options{FallbackRetry: 5 * time.Second, ColdPerJob: 250 * time.Millisecond})
+	c := New(0)
 	// Empty queue: the bare fallback.
 	if got := c.CapacityRetryAfter(0, t0); got != 5*time.Second+250*time.Millisecond {
 		t.Fatalf("cold empty-queue Retry-After = %v", got)
@@ -132,7 +139,7 @@ func TestCapacityRetryAfterColdStart(t *testing.T) {
 	if got := c.CapacityRetryAfter(10, t0); got != 7500*time.Millisecond {
 		t.Fatalf("cold Retry-After(10) = %v, want 7.5s", got)
 	}
-	// Monotone in backlog, and always inside [MinRetry, MaxRetry].
+	// Monotone in backlog, and always inside [minRetry, maxRetry].
 	prev := time.Duration(0)
 	for _, q := range []int{1, 4, 16, 64, 1 << 20} {
 		got := c.CapacityRetryAfter(q, t0)
@@ -145,7 +152,7 @@ func TestCapacityRetryAfterColdStart(t *testing.T) {
 		prev = got
 	}
 	if got := c.CapacityRetryAfter(1<<20, t0); got != 5*time.Minute {
-		t.Fatalf("huge cold backlog = %v, want MaxRetry", got)
+		t.Fatalf("huge cold backlog = %v, want maxRetry", got)
 	}
 	// A long-idle controller (drain window empty again) falls back to the
 	// same floor instead of dividing by a stale zero rate.
@@ -156,7 +163,7 @@ func TestCapacityRetryAfterColdStart(t *testing.T) {
 }
 
 func TestCapacityRetryAfterFromDrainRate(t *testing.T) {
-	c := New(Options{DrainWindow: 8 * time.Second})
+	c := New(0)
 	// 4 completions per second for 4 seconds.
 	for s := 0; s < 4; s++ {
 		for i := 0; i < 4; i++ {
@@ -168,18 +175,18 @@ func TestCapacityRetryAfterFromDrainRate(t *testing.T) {
 	if got := c.CapacityRetryAfter(20, now); got != 5*time.Second {
 		t.Fatalf("Retry-After = %v, want 5s", got)
 	}
-	// Small backlogs clamp up to MinRetry.
+	// Small backlogs clamp up to minRetry.
 	if got := c.CapacityRetryAfter(1, now); got != time.Second {
 		t.Fatalf("Retry-After = %v, want 1s (clamped)", got)
 	}
-	// Huge backlogs clamp at MaxRetry.
+	// Huge backlogs clamp at maxRetry.
 	if got := c.CapacityRetryAfter(1<<20, now); got != 5*time.Minute {
 		t.Fatalf("Retry-After = %v, want 5m (clamped)", got)
 	}
-	// Idle time dilutes the observed rate: 4 seconds later the same 16
-	// completions spread over the full 8s window = 2/s; 20 queued -> 10s.
-	if got := c.CapacityRetryAfter(20, t0.Add(7*time.Second)); got != 10*time.Second {
-		t.Fatalf("diluted Retry-After = %v, want 10s", got)
+	// Idle time dilutes the observed rate: 12 seconds later the same 16
+	// completions spread over the full 16s window = 1/s; 20 queued -> 20s.
+	if got := c.CapacityRetryAfter(20, t0.Add(15*time.Second)); got != 20*time.Second {
+		t.Fatalf("diluted Retry-After = %v, want 20s", got)
 	}
 	// Once the window has fully rolled past the burst, the rate decays
 	// to zero and the backlog-scaled cold floor applies again:
@@ -190,24 +197,25 @@ func TestCapacityRetryAfterFromDrainRate(t *testing.T) {
 }
 
 func TestDrainRingRollover(t *testing.T) {
-	c := New(Options{DrainWindow: 4 * time.Second})
-	// One completion per second for 10 seconds: steady 1/s.
-	for s := 0; s < 10; s++ {
+	c := New(0)
+	// One completion per second for 40 seconds (the ring wraps twice):
+	// steady 1/s.
+	for s := 0; s < 40; s++ {
 		c.JobDone(t0.Add(time.Duration(s) * time.Second))
 	}
-	if rate := c.drainPerSec(t0.Add(9 * time.Second)); rate != 1 {
+	if rate := c.drainPerSec(t0.Add(39 * time.Second)); rate != 1 {
 		t.Fatalf("steady rate = %g, want 1", rate)
 	}
 	// A long idle gap zeroes the whole ring rather than reading stale slots.
 	c.JobDone(t0.Add(100 * time.Second))
-	if rate := c.drainPerSec(t0.Add(100 * time.Second)); rate != 0.25 {
-		t.Fatalf("post-gap rate = %g, want 0.25 (1 completion / 4s window)", rate)
+	if rate := c.drainPerSec(t0.Add(100 * time.Second)); rate != 1.0/16 {
+		t.Fatalf("post-gap rate = %g, want 1/16 (1 completion / 16s window)", rate)
 	}
 }
 
 // TestConcurrentAdmit exercises the controller under -race.
 func TestConcurrentAdmit(t *testing.T) {
-	c := New(Options{TenantQPS: 1000, TenantBurst: 1000})
+	c := New(1000)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -198,8 +198,9 @@ func TestRLTrainInjectedTransientError(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected injected error")
 	}
-	if !faultinject.IsTransient(err) {
-		t.Fatalf("injected error not transient: %v", err)
+	var ie *faultinject.Error
+	if !errors.As(err, &ie) || ie.Point != faultinject.PointRLEpoch {
+		t.Fatalf("err = %v, want the injected *faultinject.Error at %s", err, faultinject.PointRLEpoch)
 	}
 	if len(trace) != 1 {
 		t.Fatalf("trained %d epochs before the injected fault, want 1", len(trace))

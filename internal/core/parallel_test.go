@@ -144,8 +144,8 @@ func TestCheckpointResumeEquivalenceParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestRolloutFaultLeavesParametersUntouched injects a transient error
-// into the very first trajectory rollout and verifies the no-partial-
+// TestRolloutFaultLeavesParametersUntouched injects an error into the
+// very first trajectory rollout and verifies the no-partial-
 // gradient contract: the failed step applies nothing, so a retry of the
 // same framework is bit-identical to a framework that never faulted.
 func TestRolloutFaultLeavesParametersUntouched(t *testing.T) {
@@ -159,8 +159,9 @@ func TestRolloutFaultLeavesParametersUntouched(t *testing.T) {
 		Point: faultinject.PointRollout, Action: faultinject.ActError, Every: 1, Count: 1,
 	})
 	trace, err := fw.RLTrain(ctx, tf.f.e, tf.adv, nil, tf.c, tf.train, 2)
-	if err == nil || !faultinject.IsTransient(err) {
-		t.Fatalf("err = %v, want injected transient error", err)
+	var ie *faultinject.Error
+	if !errors.As(err, &ie) || ie.Point != faultinject.PointRollout {
+		t.Fatalf("err = %v, want the injected *faultinject.Error at %s", err, faultinject.PointRollout)
 	}
 	if len(trace) != 0 {
 		t.Fatalf("completed %d epochs through a first-rollout fault, want 0", len(trace))

@@ -237,9 +237,6 @@ func (s *Session) buildQueue() {
 	}
 }
 
-// EditDistanceUsed returns the edits consumed so far.
-func (s *Session) EditDistanceUsed() int { return s.edits }
-
 // budget returns the remaining edit budget.
 func (s *Session) budget() int { return s.eps - s.edits }
 

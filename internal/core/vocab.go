@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/trap-repro/trap/internal/schema"
@@ -203,24 +202,6 @@ func (v *Vocab) EmbeddingRows() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return len(v.tokens) + len(v.tokens)/2 + 64
-}
-
-// RegionKeys lists the region names, sorted (useful for debugging).
-func (v *Vocab) RegionKeys() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	keys := make([]string, 0, len(v.regions)+len(v.colRegions)+len(v.valRegions))
-	for k := range v.regions {
-		keys = append(keys, k)
-	}
-	for t := range v.colRegions {
-		keys = append(keys, "columns:"+t)
-	}
-	for c := range v.valRegions {
-		keys = append(keys, "values:"+c.String())
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Encode maps a query's canonical token sequence to ids.

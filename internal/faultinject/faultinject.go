@@ -10,7 +10,6 @@
 package faultinject
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -43,8 +42,8 @@ const (
 )
 
 // Injector decides at each named point whether to inject a fault. Fire
-// may return an error (an injected transient failure), panic (an
-// injected crash), or sleep (injected latency) before returning nil.
+// may return an error (an injected failure), panic (an injected crash),
+// or sleep (injected latency) before returning nil.
 // Implementations must be safe for concurrent use.
 type Injector interface {
 	Fire(point string) error
@@ -59,19 +58,15 @@ func Fire(in Injector, point string) error {
 	return in.Fire(point)
 }
 
-// Error is an injected transient failure. It reports itself transient so
-// retry layers (trapd's bounded job retry) treat it as retryable.
+// Error is an injected failure; errors.As finds it through any wrapping.
 type Error struct {
 	Point string
 	Hit   uint64
 }
 
 func (e *Error) Error() string {
-	return fmt.Sprintf("faultinject: injected transient error at %s (hit %d)", e.Point, e.Hit)
+	return fmt.Sprintf("faultinject: injected error at %s (hit %d)", e.Point, e.Hit)
 }
-
-// Transient marks the error as retryable.
-func (e *Error) Transient() bool { return true }
 
 // Panic is the value thrown by panic rules, so recover sites can tell an
 // injected crash from a genuine one.
@@ -84,24 +79,11 @@ func (p *Panic) String() string {
 	return fmt.Sprintf("faultinject: injected panic at %s (hit %d)", p.Point, p.Hit)
 }
 
-// IsTransient reports whether err (or anything it wraps) marks itself
-// transient via a `Transient() bool` method — the contract trapd's retry
-// loop keys on.
-func IsTransient(err error) bool {
-	for err != nil {
-		if t, ok := err.(interface{ Transient() bool }); ok && t.Transient() {
-			return true
-		}
-		err = errors.Unwrap(err)
-	}
-	return false
-}
-
 // Action is what a rule does when it fires.
 type Action int
 
 const (
-	// ActError returns a transient *Error from the injection point.
+	// ActError returns an *Error from the injection point.
 	ActError Action = iota
 	// ActPanic panics with a *Panic value.
 	ActPanic

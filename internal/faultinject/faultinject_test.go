@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -99,21 +98,6 @@ func TestDelayAction(t *testing.T) {
 	}
 	if d := time.Since(t0); d < 30*time.Millisecond {
 		t.Errorf("delay rule slept %v, want >= 30ms", d)
-	}
-}
-
-func TestIsTransient(t *testing.T) {
-	if !IsTransient(&Error{Point: "p"}) {
-		t.Error("*Error should be transient")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", &Error{Point: "p"})) {
-		t.Error("wrapped *Error should be transient")
-	}
-	if IsTransient(errors.New("boring")) {
-		t.Error("plain error should not be transient")
-	}
-	if IsTransient(nil) {
-		t.Error("nil should not be transient")
 	}
 }
 

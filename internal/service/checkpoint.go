@@ -12,8 +12,8 @@ import (
 )
 
 // ckptStore spools RL-training checkpoints to disk so a canceled,
-// crashed or retried assessment job resumes from its last completed
-// epoch instead of from scratch. Checkpoints are keyed by the job's
+// failed or crashed assessment job, resubmitted or replayed, resumes
+// from its last completed epoch instead of from scratch. Checkpoints are keyed by the job's
 // assessment identity (dataset, advisor, method, constraint and the
 // server seed): an identical resubmission finds the same spool file.
 // Files are written atomically (temp + rename) so a crash mid-write

@@ -46,9 +46,7 @@ func clusterServer(t *testing.T) *Server {
 			QueueDepth:    8,
 			JobTimeout:    2 * time.Minute,
 			TenantQPS:     2,
-			TenantBurst:   2,
 			PriorityQueue: true,
-			SSEHeartbeat:  50 * time.Millisecond,
 			Registry:      obs.NewRegistry(),
 			Logger:        discardLogger(),
 		})
@@ -351,12 +349,15 @@ func TestEventIDAndCursorParsing(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
 	const id = "job-parse-test"
-	s.events.create(id)
-	for i := 0; i < 3; i++ {
-		s.events.publish(id, JobEvent{Type: evEpoch, Epoch: i + 1})
+	// A job the pool never sees, whose complete stream holds three
+	// events: its running state, then two epochs.
+	s.jobs.restore(Job{ID: id, Status: JobRunning})
+	defer dropTestJob(s, id)
+	_, e := s.jobs.entry(id)
+	for i := 0; i < 2; i++ {
+		e.hub.publish(JobEvent{Type: evEpoch, Epoch: i + 1})
 	}
-	s.events.closeHub(id)
-	defer s.events.drop(id)
+	e.hub.closeHub()
 
 	for _, tc := range []struct {
 		lastID string
@@ -526,6 +527,67 @@ func TestSSEStreamAndResume(t *testing.T) {
 	}
 }
 
+// dropTestJob removes a job that a test put into a shared server's
+// table by hand: it ends the job at the zero time, so the GC collects it
+// and no job a real run finished.
+func dropTestJob(s *Server, id string) {
+	s.jobs.finish(id, func(j *Job) {
+		if !j.Status.terminal() {
+			j.Status = JobCanceled
+		}
+		j.Finished = &time.Time{}
+	})
+	s.jobs.gc(time.Hour, time.Now())
+}
+
+// TestSSEHeartbeat checks that an idle progress stream carries comment
+// heartbeats, and that it ends once its job is canceled.
+func TestSSEHeartbeat(t *testing.T) {
+	s := testServer(t)
+	defer func(d time.Duration) { sseHeartbeat = d }(sseHeartbeat)
+	sseHeartbeat = 20 * time.Millisecond
+	// A pending job the pool never sees: its stream stays open and idle.
+	const id = "job-heartbeat-test"
+	s.jobs.restore(Job{ID: id, Status: JobPending})
+	defer dropTestJob(s, id)
+	ts := httptest.NewServer(s.Handler())
+	// Deferred after the restore above, so it runs first: Close waits for
+	// the stream's handler to return before the heartbeat is put back.
+	defer ts.Close()
+
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for beats := 0; beats < 2; {
+		if !sc.Scan() {
+			t.Fatalf("stream ended after %d heartbeats: %v", beats, sc.Err())
+		}
+		if sc.Text() == ": heartbeat" {
+			beats++
+		}
+	}
+	if code, body := deletePath(t, s.Handler(), "/v1/jobs/"+id); code != http.StatusAccepted {
+		t.Fatalf("cancel: %d %s", code, body)
+	}
+	var last string
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			last = v
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream did not end after the cancel: %v", err)
+	}
+	var ev JobEvent
+	if err := json.Unmarshal([]byte(last), &ev); err != nil || ev.Status != JobCanceled {
+		t.Fatalf("stream ended at %q, want the canceled state", last)
+	}
+}
+
 // TestJobLogReplayRestores exercises the in-process restart path: a
 // terminal job survives a restart queryable under its original ID, and
 // an interrupted (still running when the log closed) job is re-enqueued
@@ -649,8 +711,10 @@ func TestCancelGCNoResurrectionNoLeak(t *testing.T) {
 	if code, _ := getPath(t, h, "/v1/jobs/"+pendingJob.ID); code != http.StatusNotFound {
 		t.Fatal("GC'd job still queryable")
 	}
-	if s.events.get(runningJob.ID) != nil || s.events.get(pendingJob.ID) != nil {
-		t.Fatal("GC'd jobs still hold event hubs")
+	for _, id := range []string{runningJob.ID, pendingJob.ID} {
+		if _, e := s.jobs.entry(id); e != nil {
+			t.Fatalf("GC'd job %s still has an entry", id)
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -823,7 +887,6 @@ func TestCrashReplayChild(t *testing.T) {
 	cfg := crashParams()
 	cfg.JobLogDir = parts[0]
 	cfg.SpoolDir = parts[1]
-	cfg.CheckpointEvery = 1
 	// Stretch every epoch so the parent's SIGKILL lands mid-training,
 	// after at least one checkpoint. Delays do not change any results.
 	cfg.Injector = faultinject.NewSeeded(1, faultinject.Rule{
@@ -877,7 +940,6 @@ func TestCrashReplayResume(t *testing.T) {
 	cfg := crashParams()
 	cfg.JobLogDir = jdir
 	cfg.SpoolDir = sdir
-	cfg.CheckpointEvery = 1
 	// A standby started while the child lives is refused: the child holds
 	// both directories.
 	if dirLocks {

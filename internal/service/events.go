@@ -65,6 +65,10 @@ const (
 	subBuffer = 256
 )
 
+// sseHeartbeat is the comment-heartbeat interval of an idle progress
+// stream (a variable only so a test can shorten it).
+var sseHeartbeat = 15 * time.Second
+
 func newJobHub() *jobHub {
 	return &jobHub{base: 1, subs: map[chan JobEvent]struct{}{}}
 }
@@ -125,6 +129,19 @@ func (h *jobHub) unsubscribe(ch chan JobEvent) {
 	}
 }
 
+// publishState streams the job's lifecycle state and, once the job is
+// terminal, its result (when it succeeded), then completes the stream.
+func (h *jobHub) publishState(j Job) {
+	h.publish(JobEvent{Type: evState, Status: j.Status, Error: j.Error})
+	if !j.Status.terminal() {
+		return
+	}
+	if j.Status == JobDone && j.Result != nil {
+		h.publish(JobEvent{Type: evResult, Result: j.Result})
+	}
+	h.closeHub()
+}
+
 // closeHub marks the stream complete: live subscribers are closed (the
 // handler then ends the response) and future subscribers get only the
 // backlog.
@@ -141,67 +158,6 @@ func (h *jobHub) closeHub() {
 	}
 }
 
-// eventBus owns the per-job hubs.
-type eventBus struct {
-	mu   sync.Mutex
-	hubs map[string]*jobHub
-}
-
-func newEventBus() *eventBus {
-	return &eventBus{hubs: map[string]*jobHub{}}
-}
-
-// create registers a hub for a new job (idempotent).
-func (b *eventBus) create(id string) *jobHub {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if h, ok := b.hubs[id]; ok {
-		return h
-	}
-	h := newJobHub()
-	b.hubs[id] = h
-	return h
-}
-
-// get returns the job's hub, if any.
-func (b *eventBus) get(id string) *jobHub {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.hubs[id]
-}
-
-// publish sends an event on the job's hub (no-op for unknown jobs).
-func (b *eventBus) publish(id string, ev JobEvent) {
-	if h := b.get(id); h != nil {
-		h.publish(ev)
-	}
-}
-
-// closeHub finalizes the job's stream, keeping the backlog readable.
-func (b *eventBus) closeHub(id string) {
-	if h := b.get(id); h != nil {
-		h.closeHub()
-	}
-}
-
-// drop removes the job's hub entirely (the job was GC'd).
-func (b *eventBus) drop(id string) {
-	b.mu.Lock()
-	h := b.hubs[id]
-	delete(b.hubs, id)
-	b.mu.Unlock()
-	if h != nil {
-		h.closeHub()
-	}
-}
-
-// size returns the number of live hubs (the SSE gauge).
-func (b *eventBus) size() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.hubs)
-}
-
 // GET /v1/jobs/{id}/events
 //
 // handleJobEvents streams a job's progress as Server-Sent Events:
@@ -213,8 +169,8 @@ func (b *eventBus) size() int {
 // idle connections alive through proxies.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	hub := s.events.get(id)
-	if hub == nil {
+	_, e := s.jobs.entry(id)
+	if e == nil {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
@@ -242,9 +198,9 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no") // disable proxy buffering
 	w.WriteHeader(http.StatusOK)
 
-	replay, ch := hub.subscribe(after)
+	replay, ch := e.hub.subscribe(after)
 	if ch != nil {
-		defer hub.unsubscribe(ch)
+		defer e.hub.unsubscribe(ch)
 	}
 	for _, ev := range replay {
 		writeSSE(w, ev)
@@ -254,7 +210,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return // terminal job: backlog delivered, stream complete
 	}
 
-	heartbeat := time.NewTicker(s.cfg.SSEHeartbeat)
+	heartbeat := time.NewTicker(sseHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		select {

@@ -515,9 +515,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		Tenant:     tenant,
 		Priority:   pri.String(),
 	})
-	s.events.create(job.ID)
 	s.appendJobRecord(recSubmit, job)
-	s.events.publish(job.ID, JobEvent{Type: evState, Status: JobPending})
 	s.mJobsSub.Inc()
 	if err := s.pool.submit(job.ID, pri); err != nil {
 		now := time.Now()
@@ -645,32 +643,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // honor at the next epoch/pair boundary. Terminal jobs are a 409.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := s.jobs.get(id)
-	if !ok {
+	j, canceledNow, ok := s.jobs.cancel(id)
+	switch {
+	case !ok:
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
-	}
-	if j.Status.terminal() {
+	case canceledNow:
+		s.mJobsCanceled.Inc()
+		s.publishState(id)
+	case j.Status.terminal():
 		writeError(w, http.StatusConflict, "job %s already %s", id, j.Status)
 		return
 	}
-	canceledNow := false
-	now := time.Now()
-	s.jobs.update(id, func(j *Job) {
-		if j.Status == JobPending {
-			j.Status = JobCanceled
-			j.Error = "canceled before start"
-			j.Finished = &now
-			canceledNow = true
-		}
-	})
-	if canceledNow {
-		s.mJobsCanceled.Inc()
-		s.publishState(id)
-	} else if cancel := s.jobs.takeCancel(id); cancel != nil {
-		cancel()
-	}
-	j, _ = s.jobs.get(id)
 	writeJSON(w, http.StatusAccepted, j)
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/trap-repro/trap/internal/admission"
+	"github.com/trap-repro/trap/internal/telemetry"
 )
 
 // JobStatus is the lifecycle state of an async assessment job.
@@ -68,15 +69,13 @@ type Job struct {
 	Error    string `json:"error,omitempty"`
 	// Stack holds the goroutine stack when the job failed on a panic.
 	Stack string `json:"stack,omitempty"`
-	// Attempts counts execution attempts (>1 after transient-error retries).
-	Attempts int `json:"attempts,omitempty"`
 	// Resumed reports whether training continued from a spooled checkpoint.
 	Resumed bool `json:"resumed,omitempty"`
 	// Restored reports that the job was interrupted by a process death
 	// and re-enqueued from the job log on restart.
 	Restored bool `json:"restored,omitempty"`
-	// TraceID links the job to its pipeline trace (GET /v1/traces/{id});
-	// empty when the tracer's head sampling skipped this job.
+	// TraceID links the job to its pipeline trace (GET /v1/traces/{id}),
+	// set when the job starts running.
 	TraceID  string     `json:"traceId,omitempty"`
 	Result   *JobResult `json:"result,omitempty"`
 	Created  time.Time  `json:"created"`
@@ -107,20 +106,36 @@ func (j *Job) priority() admission.Priority {
 	return p
 }
 
-// jobStore is a concurrency-safe in-memory job registry. It also holds
-// the per-job cancel functions that back DELETE /v1/jobs/{id}.
+// jobEntry is everything the server holds for one job: the job itself,
+// its SSE progress stream, its telemetry series and, while it runs, the
+// cancel function of its run. hub and scope are fixed at creation (and
+// safe for concurrent use on their own); job and cancel are guarded by
+// the store's lock.
+type jobEntry struct {
+	job    Job
+	cancel context.CancelFunc // non-nil while the job runs
+	hub    *jobHub
+	scope  *telemetry.Scope
+}
+
+// jobStore is the concurrency-safe job table: one entry per live job.
 type jobStore struct {
-	mu      sync.Mutex
-	next    atomic.Int64
-	jobs    map[string]*Job
-	cancels map[string]context.CancelFunc
+	mu   sync.Mutex
+	next atomic.Int64
+	jobs map[string]*jobEntry
 }
 
 func newJobStore() *jobStore {
-	return &jobStore{
-		jobs:    map[string]*Job{},
-		cancels: map[string]context.CancelFunc{},
-	}
+	return &jobStore{jobs: map[string]*jobEntry{}}
+}
+
+// add registers an entry for j, its stream opened at j's state.
+func (s *jobStore) add(j Job) {
+	e := &jobEntry{job: j, hub: newJobHub(), scope: telemetry.NewScope()}
+	e.hub.publishState(j)
+	s.mu.Lock()
+	s.jobs[j.ID] = e
+	s.mu.Unlock()
 }
 
 // create registers a new pending job from the template (dataset,
@@ -129,16 +144,14 @@ func (s *jobStore) create(tpl Job) Job {
 	tpl.ID = fmt.Sprintf("job-%d", s.next.Add(1))
 	tpl.Status = JobPending
 	tpl.Created = time.Now()
-	j := tpl
-	s.mu.Lock()
-	s.jobs[j.ID] = &j
-	s.mu.Unlock()
+	s.add(tpl)
 	return tpl
 }
 
 // restore inserts a replayed job under its original ID and keeps the ID
 // sequence strictly ahead of every restored ID, so new submissions
-// never collide with replayed ones.
+// never collide with replayed ones. A terminal job's stream is already
+// complete.
 func (s *jobStore) restore(j Job) {
 	if n := jobNum(j.ID); n > 0 {
 		for {
@@ -148,30 +161,88 @@ func (s *jobStore) restore(j Job) {
 			}
 		}
 	}
-	jj := j
-	s.mu.Lock()
-	s.jobs[j.ID] = &jj
-	s.mu.Unlock()
+	s.add(j)
 }
 
 // get returns a snapshot of the job, if it exists.
 func (s *jobStore) get(id string) (Job, bool) {
+	j, e := s.entry(id)
+	return j, e != nil
+}
+
+// entry returns a snapshot of the job with its entry, for the entry's
+// stream and series (nil when the job is unknown).
+func (s *jobStore) entry(id string) (Job, *jobEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	e, ok := s.jobs[id]
 	if !ok {
-		return Job{}, false
+		return Job{}, nil
 	}
-	return *j, true
+	return e.job, e
 }
 
 // update applies fn to the job under the store lock.
 func (s *jobStore) update(id string, fn func(*Job)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		fn(j)
+	if e, ok := s.jobs[id]; ok {
+		fn(&e.job)
 	}
+}
+
+// start moves a pending job to running and registers cancel for it in
+// one step, so DELETE sees either a pending job or a cancelable one.
+// It reports false when the job is no longer pending (canceled while
+// queued): there is nothing to run.
+func (s *jobStore) start(id string, cancel context.CancelFunc) (Job, *jobEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.jobs[id]
+	if !ok || e.job.Status != JobPending {
+		return Job{}, nil, false
+	}
+	now := time.Now()
+	e.job.Status = JobRunning
+	e.job.Started = &now
+	e.cancel = cancel
+	return e.job, e, true
+}
+
+// finish applies fn, the job's terminal transition, under the store
+// lock and drops the run's cancel function.
+func (s *jobStore) finish(id string, fn func(*Job)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.jobs[id]; ok {
+		fn(&e.job)
+		e.cancel = nil
+	}
+}
+
+// cancel is DELETE /v1/jobs/{id}: a pending job becomes canceled at once
+// (canceledNow; the worker skips it on dequeue), a running one has its
+// run's context canceled and stops at its next epoch, workload or pair
+// boundary, and a terminal one is left as it is. It returns the job's
+// snapshot, and ok false for an unknown job.
+func (s *jobStore) cancel(id string) (j Job, canceledNow, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.jobs[id]
+	if !ok {
+		return Job{}, false, false
+	}
+	switch {
+	case e.job.Status == JobPending:
+		now := time.Now()
+		e.job.Status = JobCanceled
+		e.job.Error = "canceled before start"
+		e.job.Finished = &now
+		canceledNow = true
+	case e.cancel != nil:
+		e.cancel()
+	}
+	return e.job, canceledNow, true
 }
 
 // list snapshots every live job, ordered by ascending job number (the
@@ -179,8 +250,8 @@ func (s *jobStore) update(id string, fn func(*Job)) {
 func (s *jobStore) list() []Job {
 	s.mu.Lock()
 	out := make([]Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, *j)
+	for _, e := range s.jobs {
+		out = append(out, e.job)
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool { return jobNum(out[i].ID) < jobNum(out[k].ID) })
@@ -192,8 +263,8 @@ func (s *jobStore) countByStatus() map[JobStatus]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := map[JobStatus]int{}
-	for _, j := range s.jobs {
-		out[j.Status]++
+	for _, e := range s.jobs {
+		out[e.job.Status]++
 	}
 	return out
 }
@@ -205,44 +276,21 @@ func (s *jobStore) size() int {
 	return len(s.jobs)
 }
 
-// setCancel registers the cancel function of a job's execution context.
-func (s *jobStore) setCancel(id string, fn context.CancelFunc) {
-	s.mu.Lock()
-	s.cancels[id] = fn
-	s.mu.Unlock()
-}
-
-// clearCancel drops a job's cancel registration (the job finished).
-func (s *jobStore) clearCancel(id string) {
-	s.mu.Lock()
-	delete(s.cancels, id)
-	s.mu.Unlock()
-}
-
-// takeCancel removes and returns a job's cancel function (nil when the
-// job is not running).
-func (s *jobStore) takeCancel(id string) context.CancelFunc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn := s.cancels[id]
-	delete(s.cancels, id)
-	return fn
-}
-
-// gc removes terminal jobs that finished more than ttl ago and returns
-// their IDs so the caller can drop the durable and streaming state too.
-// Running and pending jobs are never collected.
+// gc removes terminal jobs that finished more than ttl ago, ending any
+// stream still attached to them, and returns their IDs so the caller
+// can drop them from the job log too. Running and pending jobs are
+// never collected.
 func (s *jobStore) gc(ttl time.Duration, now time.Time) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var dropped []string
-	for id, j := range s.jobs {
-		if !j.Status.terminal() || j.Finished == nil {
+	for id, e := range s.jobs {
+		if !e.job.Status.terminal() || e.job.Finished == nil {
 			continue
 		}
-		if now.Sub(*j.Finished) >= ttl {
+		if now.Sub(*e.job.Finished) >= ttl {
 			delete(s.jobs, id)
-			delete(s.cancels, id)
+			e.hub.closeHub()
 			dropped = append(dropped, id)
 		}
 	}

@@ -20,7 +20,7 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 // BenchmarkTelemetryAppend measures the enabled steady-state append,
 // including the FromContext lookup and sharded series resolution.
 func BenchmarkTelemetryAppend(b *testing.B) {
-	sc := NewScope(Options{Capacity: 512})
+	sc := NewScope()
 	ctx := NewContext(context.Background(), sc)
 	FromContext(ctx).Series("rl_loss").Append(0, 0)
 	b.ReportAllocs()
@@ -33,7 +33,7 @@ func BenchmarkTelemetryAppend(b *testing.B) {
 // BenchmarkTelemetrySnapshot measures the read side the HTTP telemetry
 // endpoint pays per scrape.
 func BenchmarkTelemetrySnapshot(b *testing.B) {
-	sc := NewScope(Options{Capacity: 256, MaxSeries: 16})
+	sc := newScope(256, 16)
 	for s := 0; s < 8; s++ {
 		ser := sc.Series(string(rune('a' + s)))
 		for i := 1; i <= 1000; i++ {

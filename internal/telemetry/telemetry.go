@@ -36,9 +36,8 @@ type Point struct {
 }
 
 // Series is a bounded time series. Steps must be strictly increasing:
-// a re-played step (a checkpoint-resumed epoch, a retried attempt) is
-// dropped, which keeps every series monotonic no matter how many times
-// a job is retried or resumed.
+// a re-presented step is dropped, which keeps every series monotonic
+// whatever its producer delivers twice.
 type Series struct {
 	mu      sync.Mutex
 	pts     []Point // ring storage; len is the fill, cap is fixed
@@ -166,21 +165,14 @@ func (s *Series) Count() int64 {
 	return s.count
 }
 
-// Options sizes a Scope.
-type Options struct {
-	// Capacity is the per-series ring size in stored points (rounded up
-	// to even, minimum 2). Default 512.
-	Capacity int
-	// MaxSeries is the hard cardinality cap: once this many distinct
-	// series exist, Series returns nil (whose methods are no-ops) and
-	// the Dropped counter grows. Default 64.
-	MaxSeries int
-}
-
 const (
-	defaultCapacity  = 512
-	defaultMaxSeries = 64
-	scopeShards      = 8
+	// seriesCapacity is the per-series ring size in stored points.
+	seriesCapacity = 512
+	// maxSeries is a scope's cardinality cap: once this many distinct
+	// series exist, Series returns nil (whose methods are no-ops) and
+	// the Dropped counter grows.
+	maxSeries   = 64
+	scopeShards = 8
 )
 
 var scopeSeed = maphash.MakeSeed()
@@ -194,22 +186,21 @@ type shard struct {
 // one per subsystem. All methods are safe on a nil *Scope and safe for
 // concurrent use.
 type Scope struct {
-	shards  [scopeShards]shard
-	opts    Options
-	n       atomic.Int64 // live series count, raced against MaxSeries
-	dropped atomic.Int64 // creations refused by the cardinality cap
+	shards    [scopeShards]shard
+	capacity  int          // per-series ring size
+	maxSeries int          // cardinality cap
+	n         atomic.Int64 // live series count, raced against maxSeries
+	dropped   atomic.Int64 // creations refused by the cardinality cap
 }
 
-// NewScope returns an empty scope sized by opts (zero values take the
-// documented defaults).
-func NewScope(opts Options) *Scope {
-	if opts.Capacity <= 0 {
-		opts.Capacity = defaultCapacity
-	}
-	if opts.MaxSeries <= 0 {
-		opts.MaxSeries = defaultMaxSeries
-	}
-	sc := &Scope{opts: opts}
+// NewScope returns an empty scope: up to 64 series of 512 stored points
+// each.
+func NewScope() *Scope { return newScope(seriesCapacity, maxSeries) }
+
+// newScope sizes a scope's rings (rounded up to even, minimum 2) and its
+// cardinality cap.
+func newScope(capacity, maxSeries int) *Scope {
+	sc := &Scope{capacity: capacity, maxSeries: maxSeries}
 	for i := range sc.shards {
 		sc.shards[i].m = make(map[string]*Series)
 	}
@@ -236,12 +227,12 @@ func (sc *Scope) Series(name string) *Series {
 	if s = sh.m[name]; s != nil {
 		return s
 	}
-	if sc.n.Add(1) > int64(sc.opts.MaxSeries) {
+	if sc.n.Add(1) > int64(sc.maxSeries) {
 		sc.n.Add(-1)
 		sc.dropped.Add(1)
 		return nil
 	}
-	s = newSeries(sc.opts.Capacity)
+	s = newSeries(sc.capacity)
 	sh.m[name] = s
 	return s
 }

@@ -121,7 +121,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestScopeCardinalityCap(t *testing.T) {
-	sc := NewScope(Options{Capacity: 8, MaxSeries: 4})
+	sc := newScope(8, 4)
 	for i := 0; i < 4; i++ {
 		if sc.Series(string(rune('a'+i))) == nil {
 			t.Fatalf("series %d refused under the cap", i)
@@ -143,7 +143,7 @@ func TestScopeCardinalityCap(t *testing.T) {
 }
 
 func TestScopeSnapshotSorted(t *testing.T) {
-	sc := NewScope(Options{})
+	sc := NewScope()
 	sc.Series("zeta").Append(1, 1)
 	sc.Series("alpha").Append(1, 2)
 	sc.Series("mid").Append(1, 3)
@@ -161,7 +161,7 @@ func TestScopeSnapshotSorted(t *testing.T) {
 }
 
 func TestScopeConcurrentAppend(t *testing.T) {
-	sc := NewScope(Options{Capacity: 32, MaxSeries: 16})
+	sc := newScope(32, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -201,7 +201,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 		t.Fatalf("disabled telemetry allocates %.1f allocs/op, want 0", disabled)
 	}
 
-	sc := NewScope(Options{Capacity: 64})
+	sc := newScope(64, maxSeries)
 	ectx := NewContext(context.Background(), sc)
 	s := FromContext(ectx).Series("rl_loss")
 	s.Append(1, 0) // lay down the ring

@@ -3,8 +3,7 @@
 // internal/obs cannot give. A traced operation is a tree of timed spans
 // carrying attributes (workload index, epoch, batch size, cache hit/miss
 // deltas) and point-in-time events; finished traces land in a
-// lock-sharded ring-buffered store with two retention policies layered on
-// top of an optional head-sampling stride:
+// lock-sharded ring-buffered store with two retention policies:
 //
 //   - recency: the last Recent traces, spread over the store's shards;
 //   - tail latency: the slowest SlowPerOp traces per root operation are
@@ -338,10 +337,6 @@ type Options struct {
 	// (default 4096). The store's memory bound is roughly
 	// (Recent + SlowPerOp·ops) · MaxSpans · sizeof(span).
 	MaxSpans int
-	// Every is the head-sampling stride: only every Every-th root Start
-	// records a trace (default 1 — record all; tail retention still
-	// sees only recorded traces).
-	Every int
 }
 
 const traceShards = 16
@@ -349,8 +344,7 @@ const traceShards = 16
 // Tracer records traces and retains a bounded set of finished ones.
 type Tracer struct {
 	maxSpans int
-	every    uint64
-	seq      atomic.Uint64 // trace IDs + head-sampling counter
+	seq      atomic.Uint64 // trace IDs
 
 	// onSpanEnd is the tracer-global span-end callback (see SetOnSpanEnd):
 	// unlike a per-trace observer it sees every span of every trace, at
@@ -397,11 +391,7 @@ func New(o Options) *Tracer {
 	if o.MaxSpans <= 0 {
 		o.MaxSpans = 4096
 	}
-	if o.Every <= 0 {
-		o.Every = 1
-	}
-	t := &Tracer{maxSpans: o.MaxSpans, every: uint64(o.Every), slowCap: o.SlowPerOp,
-		slow: map[string][]*Trace{}}
+	t := &Tracer{maxSpans: o.MaxSpans, slowCap: o.SlowPerOp, slow: map[string][]*Trace{}}
 	per := (o.Recent + traceShards - 1) / traceShards
 	if per < 1 {
 		per = 1
@@ -413,17 +403,13 @@ func New(o Options) *Tracer {
 }
 
 // Start begins a new root span (a new trace) under this tracer and
-// returns a context that propagates it. With head sampling configured
-// (Options.Every > 1) the skipped roots return a nil span and an
-// unchanged context. A nil tracer never samples.
+// returns a context that propagates it. A nil tracer records nothing: it
+// returns ctx unchanged and a nil span.
 func (t *Tracer) Start(ctx context.Context, op string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
 	n := t.seq.Add(1)
-	if (n-1)%t.every != 0 {
-		return ctx, nil
-	}
 	tr := &Trace{id: traceID(n), op: op, start: time.Now(), tracer: t}
 	root := tr.newSpan(op, 0)
 	tr.root = root

@@ -130,21 +130,6 @@ func TestTailRetention(t *testing.T) {
 	}
 }
 
-func TestHeadSampling(t *testing.T) {
-	tr := New(Options{Every: 3})
-	sampled := 0
-	for i := 0; i < 9; i++ {
-		_, sp := tr.Start(context.Background(), "op")
-		if sp != nil {
-			sampled++
-			sp.End()
-		}
-	}
-	if sampled != 3 {
-		t.Fatalf("sampled %d of 9 with Every=3", sampled)
-	}
-}
-
 func TestListFilters(t *testing.T) {
 	tr := New(Options{})
 	_, a := tr.Start(context.Background(), "fast")
