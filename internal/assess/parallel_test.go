@@ -2,11 +2,15 @@ package assess
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"github.com/trap-repro/trap/internal/advisor"
 	"github.com/trap-repro/trap/internal/core"
+	"github.com/trap-repro/trap/internal/engine"
+	"github.com/trap-repro/trap/internal/schema"
+	"github.com/trap-repro/trap/internal/workload"
 )
 
 // TestMeasureBitIdenticalAcrossWorkers verifies the assessment analogue
@@ -50,6 +54,44 @@ func TestMeasureBitIdenticalAcrossWorkers(t *testing.T) {
 				g.NonSargable != w.NonSargable {
 				t.Errorf("workers=%d: pair %d diverged from sequential measurement", workers, i)
 			}
+		}
+	}
+}
+
+// cancelOnRecommend cancels the measurement's context from inside its
+// recommendation for one workload, as a cancel landing during that
+// workload's utility call would.
+type cancelOnRecommend struct {
+	advisor.Advisor
+	at     *workload.Workload
+	cancel context.CancelFunc
+}
+
+func (a cancelOnRecommend) Recommend(e *engine.Engine, w *workload.Workload, c advisor.Constraint) (schema.Config, error) {
+	if w == a.at {
+		a.cancel()
+	}
+	return a.Advisor.Recommend(e, w, c)
+}
+
+// TestMeasureCanceledInLastCell: a cancel that lands while the last cell
+// is inside its utility call makes Measure return the context's error,
+// not an assessment over the workloads measured before it.
+func TestMeasureCanceledInLastCell(t *testing.T) {
+	s := tinySuite(t)
+	adv := &advisor.Extend{Opt: advisor.DefaultOptions()}
+	m, err := s.BuildMethod(context.Background(), "Random", core.ValueOnly, adv, nil, s.Storage, MethodConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		s.MeasureWorkers = workers
+		ctx, cancel := context.WithCancel(context.Background())
+		ca := cancelOnRecommend{Advisor: adv, at: s.Test[len(s.Test)-1], cancel: cancel}
+		_, err := s.Measure(ctx, m, ca, nil, s.Storage)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: Measure err = %v, want context.Canceled", workers, err)
 		}
 	}
 }
