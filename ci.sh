@@ -151,11 +151,13 @@ go test -race -timeout 300s -count=1 \
 echo "== telemetry smoke =="
 # The observability surface end to end: a real TRAP assessment must
 # yield training/attack series over /v1/jobs/{id}/telemetry (JSON and
-# CSV) with monotonic steps and per-epoch SSE telemetry events; the
-# continuous profiler must capture, serve and prune slow-span profiles;
-# and /version must report the build provenance.
+# CSV) with monotonic steps and per-epoch SSE telemetry events; a job
+# held in pretraining, RL training and measurement must show its job
+# and layer pprof labels on /debug/pprof/goroutine, and leave no
+# goroutine labelled once done; and /version must report the build
+# provenance.
 go test -race -timeout 600s -count=1 \
-    -run 'TestJobTelemetryEndToEnd|TestProfilerCapturesSlowSpan|TestVersionEndpoint' \
+    -run 'TestJobTelemetryEndToEnd|TestJobProfileLabels|TestVersionEndpoint' \
     ./internal/service
 
 echo "ci: all green"

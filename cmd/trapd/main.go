@@ -12,8 +12,6 @@
 //	      [-joblog DIR] [-tenant-qps N] [-priority-queue]
 //	      [-log-level info] [-log-format text|json]
 //	      [-trace-recent 64] [-trace-slow 8]
-//	      [-profile-dir DIR] [-profile-threshold 1s] [-profile-keep 8]
-//	      [-profile-cpu-window 1s]
 //
 // trapd shuts down gracefully on SIGINT/SIGTERM: the listener closes,
 // in-flight requests and running assessment jobs drain, and queued jobs
@@ -36,19 +34,22 @@
 //	trapd -joblog /var/lib/trapd/joblog -spool /var/lib/trapd/spool \
 //	      -tenant-qps 5 -priority-queue
 //
-// One trapd writes each of -joblog, -spool and -profile-dir: it locks
-// them at startup, before building any suite, and a second trapd on a
-// locked directory exits at once with an error naming it. A standby is
-// that second trapd under a supervisor that restarts it until the first
+// One trapd writes each of -joblog and -spool: it locks them at
+// startup, before building any suite, and a second trapd on a locked
+// directory exits at once with an error naming it. A standby is that
+// second trapd under a supervisor that restarts it until the first
 // process is gone; it then replays the log and resumes the interrupted
 // jobs from the spool.
 //
 // -workers bounds the jobs that run at once. Inside a job, the RL
 // rollout pool and the per-workload measurement pool size to GOMAXPROCS.
 // -pprof mounts net/http/pprof under /debug/pprof/ for profiling a
-// running assessment:
+// running assessment. Samples carry the labels job (the job ID) and
+// layer (advisor_build, train, pretrain or measure), so one capture
+// splits by job and by layer:
 //
 //	go tool pprof 'http://localhost:8080/debug/pprof/profile?seconds=30'
+//	go tool pprof -tagfocus job=job-3 'http://localhost:8080/debug/pprof/profile?seconds=30'
 package main
 
 import (
@@ -89,10 +90,6 @@ func main() {
 	logFormat := flag.String("log-format", olog.FormatText, "log format: text or json")
 	traceRecent := flag.Int("trace-recent", 0, "recency ring size of the trace store (default 64)")
 	traceSlow := flag.Int("trace-slow", 0, "slowest traces kept per operation (default 8)")
-	profileDir := flag.String("profile-dir", "", "continuous-profiling capture directory (empty disables)")
-	profileThreshold := flag.Duration("profile-threshold", 0, "span duration that triggers a profile capture (default 1s)")
-	profileKeep := flag.Int("profile-keep", 0, "profile captures retained before the oldest is pruned (default 8)")
-	profileCPUWindow := flag.Duration("profile-cpu-window", 0, "CPU-profile window captured after a slow span (default 1s)")
 	flag.Parse()
 
 	level, err := olog.ParseLevel(*logLevel)
@@ -136,28 +133,24 @@ func main() {
 	}
 
 	srv, err := service.NewServer(service.Config{
-		Addr:             *addr,
-		Datasets:         names,
-		Params:           p,
-		Seed:             *seed,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		RequestTimeout:   *reqTimeout,
-		JobTimeout:       *jobTimeout,
-		MaxBodyBytes:     *maxBody,
-		JobTTL:           *jobTTL,
-		SpoolDir:         *spool,
-		JobLogDir:        *joblogDir,
-		TenantQPS:        *tenantQPS,
-		PriorityQueue:    *priorityQueue,
-		Injector:         injector,
-		EnablePprof:      *enablePprof,
-		ProfileDir:       *profileDir,
-		ProfileThreshold: *profileThreshold,
-		ProfileKeep:      *profileKeep,
-		ProfileCPUWindow: *profileCPUWindow,
-		Logger:           logger,
-		Tracer:           trace.New(trace.Options{Recent: *traceRecent, SlowPerOp: *traceSlow}),
+		Addr:           *addr,
+		Datasets:       names,
+		Params:         p,
+		Seed:           *seed,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		RequestTimeout: *reqTimeout,
+		JobTimeout:     *jobTimeout,
+		MaxBodyBytes:   *maxBody,
+		JobTTL:         *jobTTL,
+		SpoolDir:       *spool,
+		JobLogDir:      *joblogDir,
+		TenantQPS:      *tenantQPS,
+		PriorityQueue:  *priorityQueue,
+		Injector:       injector,
+		EnablePprof:    *enablePprof,
+		Logger:         logger,
+		Tracer:         trace.New(trace.Options{Recent: *traceRecent, SlowPerOp: *traceSlow}),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trapd:", err)

@@ -62,6 +62,8 @@ func (s *Suite) Measure(ctx context.Context, m *Method, adv advisor.Advisor, bas
 // order, so the assessment is bit-identical for every worker count.
 func (s *Suite) MeasureOn(ctx context.Context, m *Method, adv advisor.Advisor, base advisor.Advisor, ac advisor.Constraint, tests []*workload.Workload) (asmt *Assessment, err error) {
 	ctx, tsp := trace.Start(ctx, "assess.measure")
+	ctx, restore := trace.Layer(ctx, "measure")
+	defer restore()
 	tsp.Str("method", m.Name)
 	tsp.Str("advisor", adv.Name())
 	tsp.Int("workloads", int64(len(tests)))

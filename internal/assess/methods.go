@@ -64,6 +64,8 @@ type MethodConfig struct {
 // interrupts pretraining and RL training at epoch/workload boundaries.
 func (s *Suite) BuildMethod(ctx context.Context, name string, pc core.PerturbConstraint, adv advisor.Advisor, base advisor.Advisor, ac advisor.Constraint, mc MethodConfig) (mth *Method, err error) {
 	ctx, tsp := trace.Start(ctx, "assess.build_method")
+	ctx, restore := trace.Layer(ctx, "train")
+	defer restore()
 	tsp.Str("method", name)
 	tsp.Str("advisor", adv.Name())
 	defer func() { tsp.Fail(err); tsp.End() }()

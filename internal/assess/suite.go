@@ -243,6 +243,8 @@ func (s *Suite) BuildAdvisor(spec AdvisorSpec) (advisor.Advisor, error) {
 // episode boundary once ctx is done.
 func (s *Suite) BuildAdvisorCtx(ctx context.Context, spec AdvisorSpec) (adv advisor.Advisor, err error) {
 	ctx, tsp := trace.Start(ctx, "assess.build_advisor")
+	ctx, restore := trace.Layer(ctx, "advisor_build")
+	defer restore()
 	tsp.Str("advisor", spec.Name)
 	defer func() { tsp.Fail(err); tsp.End() }()
 	a := spec.Make(s.Seed)

@@ -156,6 +156,8 @@ func (f *Framework) epochSeed(epoch int) int64 {
 // pairs.
 func (f *Framework) Pretrain(ctx context.Context, gen *workload.Generator, pairs, epochs int) (losses []float64, err error) {
 	ctx, tsp := trace.Start(ctx, "core.pretrain")
+	ctx, restore := trace.Layer(ctx, "pretrain")
+	defer restore()
 	tsp.Int("pairs", int64(pairs))
 	tsp.Int("epochs", int64(epochs))
 	defer func() { tsp.Fail(err); tsp.End() }()

@@ -14,7 +14,7 @@ var ErrLocked = errors.New("directory is locked by another writer")
 // DirLock is an exclusive lock on one directory, held from LockDir until
 // Unlock. It is how trapd keeps one writer per piece of on-disk state:
 // Open takes one on the job-log directory, and the service takes one on
-// each other directory it writes (checkpoint spool, profile captures).
+// the checkpoint spool when that is another directory.
 //
 // On unix systems with flock(2) the lock is flock(LOCK_EX|LOCK_NB) on the
 // directory itself, with no lock file. It belongs to the open directory

@@ -821,7 +821,6 @@ func TestFailedStartReleasesEverything(t *testing.T) {
 	dirs := func(c *Config) {
 		c.JobLogDir = filepath.Join(base, "joblog")
 		c.SpoolDir = filepath.Join(base, "spool")
-		c.ProfileDir = filepath.Join(base, "profiles")
 	}
 	baseline := runtime.NumGoroutine()
 	for _, tc := range []struct {

@@ -39,12 +39,11 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/profiles", s.handleProfiles)
-	s.mux.HandleFunc("GET /v1/profiles/{file}", s.handleProfileFile)
 	if s.cfg.EnablePprof {
 		// Profiling a live assessment: with -pprof on, e.g.
 		//   go tool pprof 'http://localhost:8080/debug/pprof/profile?seconds=30'
-		// while a job runs captures the rollout and measurement pools.
+		// while a job runs captures the rollout and measurement pools,
+		// their samples labelled by job and layer (see runJob).
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)

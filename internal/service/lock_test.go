@@ -15,17 +15,16 @@ import (
 // platform, so a second server on a live directory must be refused.
 const dirLocks = true
 
-// TestSecondWriterRefused runs one live server on its own job log,
-// spool and profile directories and starts a second server against
-// each of them in turn: a shared spool or profile directory is refused
-// with an error naming it, while one directory used for several flags
-// of the same server is locked once and accepted.
+// TestSecondWriterRefused runs one live server on its own job log and
+// spool directories and starts a second server against them: a shared
+// spool is refused with an error naming it, while one directory used as
+// both job log and spool of the same server, however it is spelled, is
+// locked once and accepted.
 func TestSecondWriterRefused(t *testing.T) {
 	base := t.TempDir()
 	live := newFaultServer(t, func(c *Config) {
 		c.JobLogDir = filepath.Join(base, "live-joblog")
 		c.SpoolDir = filepath.Join(base, "live-spool")
-		c.ProfileDir = filepath.Join(base, "live-profiles")
 	})
 	defer live.Close()
 
@@ -43,14 +42,6 @@ func TestSecondWriterRefused(t *testing.T) {
 			refused: live.cfg.SpoolDir,
 		},
 		{
-			name: "profile directory shared with a live server",
-			dirs: func(c *Config) {
-				c.JobLogDir = filepath.Join(base, "c-joblog")
-				c.ProfileDir = live.cfg.ProfileDir
-			},
-			refused: live.cfg.ProfileDir,
-		},
-		{
 			name: "one directory for job log and spool",
 			dirs: func(c *Config) {
 				c.JobLogDir = filepath.Join(base, "d-state")
@@ -58,10 +49,10 @@ func TestSecondWriterRefused(t *testing.T) {
 			},
 		},
 		{
-			name: "one directory for spool and profiles, spelled two ways",
+			name: "job log as spool, other spelling",
 			dirs: func(c *Config) {
-				c.SpoolDir = filepath.Join(base, "e-state")
-				c.ProfileDir = c.SpoolDir + "/."
+				c.JobLogDir = filepath.Join(base, "e-state")
+				c.SpoolDir = c.JobLogDir + "/."
 			},
 		},
 	} {

@@ -25,11 +25,16 @@
 // (internal/admission) adds per-tenant quotas and honest Retry-After
 // hints on load sheds.
 //
-// One server writes each directory it is given (job log, spool, profile
-// captures): NewServer locks them (joblog.DirLock) before it builds
-// anything, so a second trapd on the same directories fails fast. A
-// standby is simply a second trapd whose supervisor restarts it until
-// the first one is gone; it then replays the log and resumes the jobs.
+// One server writes each directory it is given (job log, spool):
+// NewServer locks them (joblog.DirLock) before it builds anything, so a
+// second trapd on the same directories fails fast. A standby is simply a
+// second trapd whose supervisor restarts it until the first one is gone;
+// it then replays the log and resumes the jobs.
+//
+// A job runs under the pprof label job=<id>, and its advisor build,
+// method training, pretraining and measurement add layer=advisor_build,
+// train, pretrain and measure, so any /debug/pprof/profile capture
+// splits by job and layer (go tool pprof -tagfocus job=job-3).
 //
 // The suites (engine, workloads, vocabulary, learned utility model) are
 // built once at startup and shared by every request; the engine and
@@ -50,6 +55,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -138,20 +144,6 @@ type Config struct {
 	// are dequeued before batch ones). Off by default: without the flag
 	// the header is ignored and all jobs are batch.
 	PriorityQueue bool
-	// ProfileDir, when set, enables continuous profiling: every traced
-	// span that runs longer than ProfileThreshold triggers a heap + CPU
-	// profile capture into this directory, retained ProfileKeep-deep and
-	// indexed by GET /v1/profiles. Empty disables the harness. The
-	// server holds the directory's lock while it lives.
-	ProfileDir string
-	// ProfileThreshold is the span latency that triggers a capture
-	// (default 1s).
-	ProfileThreshold time.Duration
-	// ProfileKeep bounds the rolling capture retention (default 8).
-	ProfileKeep int
-	// ProfileCPUWindow is how long the post-breach CPU profile runs
-	// (default 1s).
-	ProfileCPUWindow time.Duration
 	// Injector arms the fault-injection points in the suites' engines
 	// and frameworks (nil — the default — disables injection).
 	Injector faultinject.Injector
@@ -194,15 +186,6 @@ func (c *Config) fill() {
 	if c.JobTTL <= 0 {
 		c.JobTTL = time.Hour
 	}
-	if c.ProfileThreshold <= 0 {
-		c.ProfileThreshold = time.Second
-	}
-	if c.ProfileKeep <= 0 {
-		c.ProfileKeep = 8
-	}
-	if c.ProfileCPUWindow <= 0 {
-		c.ProfileCPUWindow = time.Second
-	}
 }
 
 // Server is the trapd HTTP service.
@@ -216,8 +199,9 @@ type Server struct {
 	pool   *workerPool
 	ckpt   *ckptStore  // nil when SpoolDir is unset
 	jlog   *joblog.Log // nil when JobLogDir is unset; holds its own lock
-	// locks are the server's other directory locks (spool, profiles).
-	locks []*joblog.DirLock
+	// lock is the spool's lock; nil when there is no spool or it is the
+	// job-log directory.
+	lock  *joblog.DirLock
 	adm   *admission.Controller
 	ready atomic.Bool // false until the job-log replay has finished
 	// draining latches true when the job log degrades (an append or
@@ -226,7 +210,6 @@ type Server struct {
 	draining atomic.Bool
 	mux      *http.ServeMux
 	start    time.Time
-	prof     *profiler // continuous profiling; nil when ProfileDir is unset
 
 	mRequests     *obs.Counter
 	mReqSecs      *obs.Histogram
@@ -301,10 +284,10 @@ func NewServer(cfg Config) (_ *Server, err error) {
 			return nil, err
 		}
 	}
-	if err := s.lockDirs(); err != nil {
-		return nil, err
-	}
 	if cfg.SpoolDir != "" {
+		if err := s.lockSpool(); err != nil {
+			return nil, err
+		}
 		s.ckpt = &ckptStore{dir: cfg.SpoolDir, seed: cfg.Seed}
 	}
 	for _, name := range cfg.Datasets {
@@ -373,8 +356,7 @@ func NewServer(cfg Config) (_ *Server, err error) {
 			return nil, err
 		}
 	}
-	// Nothing below can fail, so a failed NewServer never started a worker
-	// or installed a tracer hook.
+	// Nothing below can fail, so a failed NewServer never started a worker.
 	s.pool = newWorkerPool(cfg.Workers, cfg.QueueDepth, s.runJob)
 	for _, id := range requeue {
 		j, _ := s.jobs.get(id)
@@ -387,10 +369,6 @@ func NewServer(cfg Config) (_ *Server, err error) {
 			})
 			s.publishState(id)
 		}
-	}
-	if cfg.ProfileDir != "" {
-		s.prof = newProfiler(cfg, s.reg, s.log)
-		s.tr.SetOnSpanEnd(s.prof.onSpanEnd)
 	}
 	s.ready.Store(true)
 	s.mux = http.NewServeMux()
@@ -438,32 +416,27 @@ func (s *Server) openJobLog() ([]Job, error) {
 	return jobs, nil
 }
 
-// lockDirs locks the other directories the server writes, the spool and
-// the profile captures. A directory named twice, or also used as the job
-// log (whose lock joblog.Open took), is locked once.
-func (s *Server) lockDirs() error {
-	held := map[string]bool{}
-	for _, dir := range []string{s.cfg.JobLogDir, s.cfg.SpoolDir, s.cfg.ProfileDir} {
-		if dir == "" {
-			continue
-		}
-		abs, err := filepath.Abs(dir)
+// lockSpool locks the spool directory, unless it is also the job log
+// (compared as absolute paths), whose lock joblog.Open already holds.
+func (s *Server) lockSpool() error {
+	if s.cfg.JobLogDir != "" {
+		spool, err := filepath.Abs(s.cfg.SpoolDir)
 		if err != nil {
 			return fmt.Errorf("service: %w", err)
 		}
-		if held[abs] {
-			continue
-		}
-		held[abs] = true
-		if dir == s.cfg.JobLogDir {
-			continue // joblog.Open holds this one
-		}
-		l, err := joblog.LockDir(dir)
+		jlog, err := filepath.Abs(s.cfg.JobLogDir)
 		if err != nil {
 			return fmt.Errorf("service: %w", err)
 		}
-		s.locks = append(s.locks, l)
+		if spool == jlog {
+			return nil
+		}
 	}
+	l, err := joblog.LockDir(s.cfg.SpoolDir)
+	if err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	s.lock = l
 	return nil
 }
 
@@ -563,23 +536,16 @@ func (s *Server) publishState(id string) {
 	s.appendJobRecord(recState, j)
 }
 
-// Close stops profiling (it removes the tracer hook and waits out an
-// in-flight capture), closes the job log and releases every directory
-// lock, so another server may take the directories over. Safe to call
-// more than once; serving continues degraded if it ever races an
-// in-flight append (appends after close fail soft).
+// Close closes the job log and releases the spool's lock, so another
+// server may take the directories over. Safe to call more than once;
+// serving continues degraded if it ever races an in-flight append
+// (appends after close fail soft).
 func (s *Server) Close() error {
-	if s.prof != nil {
-		s.tr.SetOnSpanEnd(nil)
-		s.prof.stop()
-	}
 	var err error
 	if s.jlog != nil {
 		err = s.jlog.Close()
 	}
-	for _, l := range s.locks {
-		l.Unlock()
-	}
+	s.lock.Unlock()
 	return err
 }
 
@@ -765,7 +731,13 @@ func (s *Server) runJob(id string) {
 	tsp.Observe(cellObserver(e.hub))
 	s.mJobsRun.Add(1)
 	sp := obs.StartSpan(s.mJobSecs)
-	res, err := s.runAssessment(ctx, j, e)
+	// The job label covers the assessment's goroutine and the pool
+	// goroutines it starts, and is gone from the worker once it returns.
+	var res *JobResult
+	var err error
+	pprof.Do(ctx, pprof.Labels("job", id), func(ctx context.Context) {
+		res, err = s.runAssessment(ctx, j, e)
+	})
 	var pe *panicError
 	isPanic := errors.As(err, &pe)
 	if !isPanic && ctx.Err() != nil {

@@ -2,11 +2,9 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -159,106 +157,4 @@ func keysOf(m map[string][]int64) []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-// TestProfilerCapturesSlowSpan enables continuous profiling with a tiny
-// threshold, runs spans past it, and checks capture, download,
-// retention pruning and file-name sanitization.
-func TestProfilerCapturesSlowSpan(t *testing.T) {
-	dir := t.TempDir()
-	s := newFaultServer(t, func(c *Config) {
-		c.ProfileDir = dir
-		c.ProfileThreshold = 10 * time.Millisecond
-		c.ProfileCPUWindow = 20 * time.Millisecond
-		c.ProfileKeep = 2
-	})
-	defer s.Close()
-	h := s.Handler()
-
-	slowSpan := func() {
-		_, sp := s.tr.Start(context.Background(), "test.slow")
-		time.Sleep(25 * time.Millisecond)
-		sp.End()
-	}
-
-	slowSpan()
-	var resp profilesResponse
-	waitUntil(t, 10*time.Second, "first profile capture", func() bool {
-		code, body := getPath(t, h, "/v1/profiles")
-		if code != http.StatusOK {
-			t.Fatalf("profiles: %d %s", code, body)
-		}
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return len(resp.Captures) >= 1
-	})
-	c := resp.Captures[0]
-	if c.Span != "test.slow" || c.DurMilli < 10 {
-		t.Errorf("capture metadata: %+v", c)
-	}
-	if len(c.Files) == 0 {
-		t.Fatalf("capture has no files: %+v", c)
-	}
-	var heap string
-	for _, f := range c.Files {
-		if strings.HasSuffix(f, ".heap.pb.gz") {
-			heap = f
-		}
-	}
-	if heap == "" {
-		t.Fatalf("no heap profile in %v", c.Files)
-	}
-	code, body := getPath(t, h, "/v1/profiles/"+heap)
-	if code != http.StatusOK || len(body) == 0 {
-		t.Fatalf("profile download: %d (%d bytes)", code, len(body))
-	}
-
-	// Retention: drive more captures than ProfileKeep; the oldest is
-	// pruned from the index and its files removed from disk.
-	for i := 0; i < 3; i++ {
-		waitUntil(t, 10*time.Second, "capture slot free", func() bool {
-			return !s.prof.busy.Load()
-		})
-		slowSpan()
-	}
-	waitUntil(t, 10*time.Second, "retention pruning", func() bool {
-		code, body := getPath(t, h, "/v1/profiles")
-		if code != http.StatusOK {
-			return false
-		}
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Captures) != 2 {
-			return false
-		}
-		for _, kept := range resp.Captures {
-			if kept.Name == c.Name {
-				return false
-			}
-		}
-		return true
-	})
-	// The pruned capture's files are gone: 404 on download.
-	if code, _ := getPath(t, h, "/v1/profiles/"+heap); code != http.StatusNotFound {
-		t.Errorf("pruned profile download: %d, want 404", code)
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, c.Name+".*"))
-	if len(matches) != 0 {
-		t.Errorf("pruned capture files still on disk: %v", matches)
-	}
-
-	// Path traversal and arbitrary names never reach the filesystem.
-	for _, bad := range []string{"..%2f..%2fetc%2fpasswd", "cap-1.heap.pb.gz%00", "nope.txt"} {
-		if code, _ := getPath(t, h, "/v1/profiles/"+bad); code != http.StatusNotFound && code != http.StatusBadRequest {
-			t.Errorf("profile %q: %d, want 404/400", bad, code)
-		}
-	}
-
-	// Profiling disabled: both endpoints 404.
-	plain := testServer(t)
-	if code, _ := getPath(t, plain.Handler(), "/v1/profiles"); code != http.StatusNotFound {
-		t.Errorf("profiles without -profile-dir: %d, want 404", code)
-	}
 }

@@ -22,11 +22,15 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 func BenchmarkTelemetryAppend(b *testing.B) {
 	sc := NewScope()
 	ctx := NewContext(context.Background(), sc)
-	FromContext(ctx).Series("rl_loss").Append(0, 0)
+	// Fill the ring to its capacity first, so every timed append is a
+	// steady-state one.
+	for i := 0; i < seriesCapacity; i++ {
+		FromContext(ctx).Series("rl_loss").Append(int64(i), 0)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FromContext(ctx).Series("rl_loss").Append(int64(i+1), 1.5)
+		FromContext(ctx).Series("rl_loss").Append(int64(seriesCapacity+i), 1.5)
 	}
 }
 

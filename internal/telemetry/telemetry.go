@@ -1,11 +1,12 @@
 // Package telemetry is the time-series layer on top of internal/obs:
 // where obs answers "what is the value now", telemetry answers "how did
 // it get there". A Scope is a lock-sharded registry of named Series; a
-// Series is a fixed-capacity ring of (step, value) points that
-// downsamples itself — merging adjacent pairs and doubling its stride —
-// whenever it fills, so an unbounded run (thousands of RL epochs, tens
-// of thousands of perturbation candidates) is summarised in bounded
-// memory with the newest points always at full resolution.
+// Series is a bounded ring of (step, value) points that grows on demand
+// up to its capacity and then downsamples itself — merging adjacent
+// pairs and doubling its stride — whenever it fills, so an unbounded run
+// (thousands of RL epochs, tens of thousands of perturbation candidates)
+// is summarised in bounded memory with the newest points always at full
+// resolution, and a short series holds only a few points' storage.
 //
 // The package is built for hot paths that are usually cold: every entry
 // point is a no-op on a nil receiver, and FromContext on an
@@ -15,8 +16,8 @@
 //
 // unconditionally and pay nothing (no allocation, no branch beyond the
 // nil checks) when telemetry is disabled. With telemetry enabled the
-// steady-state Append is allocation-free too: the ring's backing array
-// is laid down once and downsampling runs in place.
+// steady-state Append is allocation-free too: once the ring has grown
+// to its capacity, downsampling runs in place.
 package telemetry
 
 import (
@@ -39,14 +40,15 @@ type Point struct {
 // a re-presented step is dropped, which keeps every series monotonic
 // whatever its producer delivers twice.
 type Series struct {
-	mu      sync.Mutex
-	pts     []Point // ring storage; len is the fill, cap is fixed
-	stride  int64   // raw appends folded into each stored point
-	accSum  float64 // pending bucket: sum of raw values
-	accN    int64   // pending bucket: raw appends so far
-	accStep int64   // pending bucket: last raw step
-	last    int64   // last raw step accepted (monotonicity gate)
-	count   int64   // total raw appends accepted
+	mu       sync.Mutex
+	pts      []Point // ring storage; len is the fill, cap doubles up to capacity
+	capacity int     // the most points stored before downsampling
+	stride   int64   // raw appends folded into each stored point
+	accSum   float64 // pending bucket: sum of raw values
+	accN     int64   // pending bucket: raw appends so far
+	accStep  int64   // pending bucket: last raw step
+	last     int64   // last raw step accepted (monotonicity gate)
+	count    int64   // total raw appends accepted
 }
 
 func newSeries(capacity int) *Series {
@@ -56,7 +58,7 @@ func newSeries(capacity int) *Series {
 	if capacity%2 == 1 {
 		capacity++
 	}
-	return &Series{pts: make([]Point, 0, capacity), stride: 1}
+	return &Series{pts: make([]Point, 0, min(seriesStart, capacity)), capacity: capacity, stride: 1}
 }
 
 // Append records value at step. Steps at or below the last accepted
@@ -79,7 +81,12 @@ func (s *Series) Append(step int64, value float64) {
 		return
 	}
 	if len(s.pts) == cap(s.pts) {
-		s.downsample()
+		if len(s.pts) < s.capacity {
+			// Double the storage, up to the capacity.
+			s.pts = append(make([]Point, 0, min(2*len(s.pts), s.capacity)), s.pts...)
+		} else {
+			s.downsample()
+		}
 	}
 	s.pts = append(s.pts, Point{Step: s.accStep, Value: s.accSum / float64(s.accN)})
 	s.accSum, s.accN = 0, 0
@@ -168,6 +175,9 @@ func (s *Series) Count() int64 {
 const (
 	// seriesCapacity is the per-series ring size in stored points.
 	seriesCapacity = 512
+	// seriesStart is the ring storage a new series starts with; it
+	// doubles on demand up to the capacity.
+	seriesStart = 8
 	// maxSeries is a scope's cardinality cap: once this many distinct
 	// series exist, Series returns nil (whose methods are no-ops) and
 	// the Dropped counter grows.

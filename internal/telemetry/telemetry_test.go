@@ -26,6 +26,18 @@ func TestSeriesAppendAndPoints(t *testing.T) {
 	}
 }
 
+// TestSeriesGrowsOnDemand: a short series holds a few points' storage,
+// not its whole ring.
+func TestSeriesGrowsOnDemand(t *testing.T) {
+	s := NewScope().Series("short")
+	for i := 1; i <= 3; i++ {
+		s.Append(int64(i), 1)
+	}
+	if c := cap(s.pts); c > 16 {
+		t.Fatalf("a 3-point series has storage for %d points, want at most 16", c)
+	}
+}
+
 func TestSeriesMonotonicSteps(t *testing.T) {
 	s := newSeries(8)
 	s.Append(5, 1)
@@ -204,8 +216,14 @@ func TestAppendZeroAlloc(t *testing.T) {
 	sc := newScope(64, maxSeries)
 	ectx := NewContext(context.Background(), sc)
 	s := FromContext(ectx).Series("rl_loss")
-	s.Append(1, 0) // lay down the ring
-	step = 1
+	// Fill the ring to its capacity: the steady state, where an append
+	// downsamples in place instead of growing the storage.
+	for step = 1; step <= 64; step++ {
+		s.Append(step, 0)
+	}
+	if cap(s.pts) != 64 {
+		t.Fatalf("warm-up left the ring at cap %d, want its capacity 64", cap(s.pts))
+	}
 	enabled := testing.AllocsPerRun(1000, func() {
 		step++
 		FromContext(ectx).Series("rl_loss").Append(step, 1.5)

@@ -12,7 +12,6 @@ type SpanJSON struct {
 	Start    time.Time      `json:"start"`
 	DurMicro int64          `json:"durUs"`
 	Attrs    map[string]any `json:"attrs,omitempty"`
-	Events   []Event        `json:"events,omitempty"`
 	Error    string         `json:"error,omitempty"`
 	Children []*SpanJSON    `json:"children,omitempty"`
 }
@@ -108,9 +107,6 @@ func (s *Span) json() *SpanJSON {
 		for _, a := range s.attrs {
 			out.Attrs[a.Key] = a.Value
 		}
-	}
-	if len(s.events) > 0 {
-		out.Events = append(out.Events, s.events...)
 	}
 	return out
 }

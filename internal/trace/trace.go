@@ -2,8 +2,8 @@
 // per-request attribution that the aggregate counters and histograms of
 // internal/obs cannot give. A traced operation is a tree of timed spans
 // carrying attributes (workload index, epoch, batch size, cache hit/miss
-// deltas) and point-in-time events; finished traces land in a
-// lock-sharded ring-buffered store with two retention policies:
+// deltas); finished traces land in a lock-sharded ring-buffered store
+// with two retention policies:
 //
 //   - recency: the last Recent traces, spread over the store's shards;
 //   - tail latency: the slowest SlowPerOp traces per root operation are
@@ -21,6 +21,10 @@
 // stay inside their allocs/op budgets unless a tracer was installed on
 // the context by a root span (Tracer.Start).
 //
+// Layer labels the CPU samples of a coarse stage (advisor build,
+// training, pretraining, measurement) with the same layer names as
+// perfbench's self-time table, traced or not.
+//
 // All types are safe for concurrent use.
 package trace
 
@@ -32,17 +36,10 @@ import (
 	"time"
 )
 
-// Attr is one key/value annotation on a span or event.
+// Attr is one key/value annotation on a span.
 type Attr struct {
 	Key   string `json:"key"`
 	Value any    `json:"value"`
-}
-
-// Event is a timestamped point annotation within a span.
-type Event struct {
-	Time  time.Time `json:"time"`
-	Msg   string    `json:"msg"`
-	Attrs []Attr    `json:"attrs,omitempty"`
 }
 
 // Span is one timed operation in a trace. A nil *Span is a valid no-op
@@ -59,7 +56,6 @@ type Span struct {
 	ended  bool
 	errMsg string
 	attrs  []Attr
-	events []Event
 }
 
 // Trace is one operation tree: a root span plus everything started under
@@ -129,11 +125,6 @@ type ctxKey struct{}
 func FromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(ctxKey{}).(*Span)
 	return sp
-}
-
-// ContextTraceID returns the active trace's ID, or "" when untraced.
-func ContextTraceID(ctx context.Context) string {
-	return FromContext(ctx).TraceID()
 }
 
 // Start begins a child of the span in ctx and returns the child-carrying
@@ -228,17 +219,6 @@ func (s *Span) Bool(key string, v bool) {
 		return
 	}
 	s.Attr(key, v)
-}
-
-// Event records a timestamped point annotation.
-func (s *Span) Event(msg string, attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	ev := Event{Time: time.Now(), Msg: msg, Attrs: attrs}
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
 }
 
 // SpanEnd is the span→event bridge payload: a snapshot of one finished
@@ -360,9 +340,9 @@ type Tracer struct {
 
 // SetOnSpanEnd installs (or, with nil, removes) a tracer-global callback
 // invoked on every span end, on the goroutine that ended the span — the
-// hook the continuous-profiling harness uses to notice latency-threshold
-// breaches the moment they happen. The callback must be fast and safe
-// for concurrent use; installing replaces any previous callback.
+// hook a span collector (perfbench's self-time table) uses to see every
+// span of every trace. The callback must be fast and safe for concurrent
+// use; installing replaces any previous callback.
 func (t *Tracer) SetOnSpanEnd(fn func(SpanEnd)) {
 	if t == nil {
 		return
