@@ -118,10 +118,11 @@ go test -timeout 120s -count=1 \
 
 echo "== trace endpoint smoke =="
 # End-to-end observability check: a real job must yield a retrievable
-# trace with a >=4-level span tree, and /metrics must serve both
-# exposition formats.
+# trace with a >=4-level span tree, /metrics must serve both
+# exposition formats, and per-route request counters must be named by
+# the route that matched, so unknown paths add at most one series.
 go test -timeout 300s -count=1 \
-    -run 'TestJobTraceEndToEnd|TestMetricsFormats' \
+    -run 'TestJobTraceEndToEnd|TestMetricsFormats|TestRouteCountersBounded' \
     ./internal/service
 
 echo "== crash-replay smoke =="
@@ -130,12 +131,16 @@ echo "== crash-replay smoke =="
 # assert the job resumes and finishes bit-identical to an uninterrupted
 # run. Plus the cancel/GC interplay: a canceled-then-GC'd job must not
 # be resurrected by replay and must leak no goroutines (under -race); a
-# degraded job log must drain the server; and one writer per directory:
-# a second server (or joblog.Open) on a live directory is refused
-# before any suite is built, a failed start releases its workers and
-# locks, and logs from releases that also wrote lease records replay.
+# job's stream must end only once its terminal record is on disk, and
+# the GC must skip a terminal job not yet published, so a drop record
+# never precedes the terminal one; a refused submission must leave no
+# job behind, listed, counted or replayed; a degraded job log must
+# drain the server; and one writer per directory: a second server (or
+# joblog.Open) on a live directory is refused before any suite is
+# built, a failed start releases its workers and locks, and logs from
+# releases that also wrote lease records replay.
 go test -race -timeout 600s -count=1 \
-    -run 'TestCrashReplayResume|TestJobLogReplayRestores|TestCancelGCNoResurrectionNoLeak|TestJobLogDegradedDraining|TestSecondWriterRefused|TestLocksBeforeSuites|TestFailedStartReleasesEverything|TestJobLogReplaySkipsFleetRecords' \
+    -run 'TestCrashReplayResume|TestJobLogReplayRestores|TestCancelGCNoResurrectionNoLeak|TestStreamEndsAfterTerminalRecord|TestGCSkipsUnpublishedTerminalJob|TestQueueFullAndDrain|TestJobLogDegradedDraining|TestSecondWriterRefused|TestLocksBeforeSuites|TestFailedStartReleasesEverything|TestJobLogReplaySkipsFleetRecords' \
     ./internal/service
 go test -race -timeout 120s -count=1 -run 'TestOpenLocksDirectory|TestDirLockUnlock' ./internal/joblog
 

@@ -17,7 +17,6 @@ import (
 	"github.com/trap-repro/trap/internal/assess"
 	"github.com/trap-repro/trap/internal/bench"
 	"github.com/trap-repro/trap/internal/core"
-	"github.com/trap-repro/trap/internal/schema"
 )
 
 func main() {
@@ -41,31 +40,19 @@ func main() {
 	if *episodes > 0 {
 		p.AdvisorEpisodes = *episodes
 	}
-	var s *schema.Schema
-	switch *dataset {
-	case "tpch":
-		s = bench.TPCH(p.ScaleDown)
-	case "tpcds":
-		s = bench.TPCDS(p.ScaleDown)
-	case "transaction":
-		s = bench.TRANSACTION(p.ScaleDown)
-	default:
-		fmt.Fprintf(os.Stderr, "assess: unknown dataset %q\n", *dataset)
+	s, err := bench.ByName(*dataset, p.ScaleDown)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "assess:", err)
 		os.Exit(1)
 	}
-	var pcs []core.PerturbConstraint
-	switch *constraint {
-	case "value":
-		pcs = []core.PerturbConstraint{core.ValueOnly}
-	case "column":
-		pcs = []core.PerturbConstraint{core.ColumnConsistent}
-	case "shared":
-		pcs = []core.PerturbConstraint{core.SharedTable}
-	case "all":
-		pcs = core.AllConstraints
-	default:
-		fmt.Fprintf(os.Stderr, "assess: unknown constraint %q\n", *constraint)
-		os.Exit(1)
+	pcs := core.AllConstraints
+	if *constraint != "all" {
+		pc, err := core.ParseConstraint(*constraint)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "assess:", err)
+			os.Exit(1)
+		}
+		pcs = []core.PerturbConstraint{pc}
 	}
 	suite, err := assess.NewSuite(*dataset, s, p, *seed)
 	if err != nil {

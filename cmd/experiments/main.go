@@ -22,7 +22,6 @@ import (
 	"github.com/trap-repro/trap/internal/assess"
 	"github.com/trap-repro/trap/internal/bench"
 	"github.com/trap-repro/trap/internal/core"
-	"github.com/trap-repro/trap/internal/schema"
 )
 
 func main() {
@@ -56,16 +55,9 @@ func main() {
 	}
 
 	suiteFor := func(name string) (*assess.Suite, error) {
-		var s *schema.Schema
-		switch name {
-		case "tpch":
-			s = bench.TPCH(p.ScaleDown)
-		case "tpcds":
-			s = bench.TPCDS(p.ScaleDown)
-		case "transaction":
-			s = bench.TRANSACTION(p.ScaleDown)
-		default:
-			return nil, fmt.Errorf("unknown dataset %q", name)
+		s, err := bench.ByName(name, p.ScaleDown)
+		if err != nil {
+			return nil, err
 		}
 		return assess.NewSuite(name, s, p, *seed)
 	}

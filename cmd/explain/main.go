@@ -38,22 +38,15 @@ func run(dataset, sql, indexes string, scaleDown int64) error {
 	if sql == "" {
 		return fmt.Errorf("-sql is required")
 	}
-	var s *schema.Schema
-	switch dataset {
-	case "tpch":
-		s = bench.TPCH(scaleDown)
-	case "tpcds":
-		s = bench.TPCDS(scaleDown)
-	case "transaction":
-		s = bench.TRANSACTION(scaleDown)
-	default:
-		return fmt.Errorf("unknown dataset %q", dataset)
+	s, err := bench.ByName(dataset, scaleDown)
+	if err != nil {
+		return err
 	}
 	q, err := sqlx.Parse(sql)
 	if err != nil {
 		return err
 	}
-	cfg, err := parseIndexes(indexes)
+	cfg, err := schema.ParseIndexes(strings.Split(indexes, ";"))
 	if err != nil {
 		return err
 	}
@@ -71,33 +64,4 @@ func run(dataset, sql, indexes string, scaleDown int64) error {
 	}
 	fmt.Printf("runtime stand-in cost: %.2f\n", rc)
 	return nil
-}
-
-// parseIndexes parses "table(col1,col2);table2(col)" into a Config.
-func parseIndexes(spec string) (schema.Config, error) {
-	var cfg schema.Config
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		open := strings.IndexByte(part, '(')
-		if open <= 0 || !strings.HasSuffix(part, ")") {
-			return nil, fmt.Errorf("bad index spec %q (want table(col,...))", part)
-		}
-		table := strings.TrimSpace(part[:open])
-		var cols []string
-		for _, c := range strings.Split(part[open+1:len(part)-1], ",") {
-			c = strings.TrimSpace(c)
-			if c == "" {
-				return nil, fmt.Errorf("bad index spec %q: empty column", part)
-			}
-			cols = append(cols, c)
-		}
-		if len(cols) == 0 {
-			return nil, fmt.Errorf("bad index spec %q: no columns", part)
-		}
-		cfg = cfg.Add(schema.Index{Table: table, Columns: cols})
-	}
-	return cfg, nil
 }

@@ -9,9 +9,8 @@
 //	      [-workers N] [-queue N] [-seed 42]
 //	      [-request-timeout 30s] [-job-timeout 15m] [-max-body 1048576]
 //	      [-job-ttl 1h] [-spool DIR] [-inject SPEC] [-pprof]
-//	      [-joblog DIR] [-tenant-qps N] [-priority-queue]
+//	      [-joblog DIR] [-tenant-qps N]
 //	      [-log-level info] [-log-format text|json]
-//	      [-trace-recent 64] [-trace-slow 8]
 //
 // trapd shuts down gracefully on SIGINT/SIGTERM: the listener closes,
 // in-flight requests and running assessment jobs drain, and queued jobs
@@ -28,11 +27,14 @@
 // a process death are re-enqueued and — combined with -spool — resume
 // mid-training. -tenant-qps arms per-tenant admission quotas (the
 // X-Trap-Tenant request header identifies the tenant; over-quota
-// submissions get 429 + Retry-After), and -priority-queue honors the
-// X-Trap-Priority header (interactive jobs are dequeued before batch):
+// submissions get 429 + Retry-After):
 //
-//	trapd -joblog /var/lib/trapd/joblog -spool /var/lib/trapd/spool \
-//	      -tenant-qps 5 -priority-queue
+//	trapd -joblog /var/lib/trapd/joblog -spool /var/lib/trapd/spool -tenant-qps 5
+//
+// The X-Trap-Priority header is always honoured: interactive jobs are
+// dequeued before batch ones, a job without the header is batch, and an
+// unknown value is a 400. /v1/traces keeps the last 64 job traces and
+// the 8 slowest of each operation.
 //
 // One trapd writes each of -joblog and -spool: it locks them at
 // startup, before building any suite, and a second trapd on a locked
@@ -66,7 +68,6 @@ import (
 	"github.com/trap-repro/trap/internal/faultinject"
 	olog "github.com/trap-repro/trap/internal/obs/log"
 	"github.com/trap-repro/trap/internal/service"
-	"github.com/trap-repro/trap/internal/trace"
 )
 
 func main() {
@@ -83,13 +84,10 @@ func main() {
 	spool := flag.String("spool", "", "checkpoint spool directory (empty disables checkpoint/resume)")
 	joblogDir := flag.String("joblog", "", "durable job-log directory, locked by this trapd (empty disables job durability)")
 	tenantQPS := flag.Float64("tenant-qps", 0, "per-tenant job submission rate, in bursts of its ceiling (0 disables quotas)")
-	priorityQueue := flag.Bool("priority-queue", false, "honor the X-Trap-Priority header (interactive before batch)")
 	injectSpec := flag.String("inject", "", "fault-injection rules, e.g. 'core.rl.epoch:error:count=1;engine.cost:delay:every=100,delay=5ms'")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof endpoints under /debug/pprof/")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", olog.FormatText, "log format: text or json")
-	traceRecent := flag.Int("trace-recent", 0, "recency ring size of the trace store (default 64)")
-	traceSlow := flag.Int("trace-slow", 0, "slowest traces kept per operation (default 8)")
 	flag.Parse()
 
 	level, err := olog.ParseLevel(*logLevel)
@@ -146,11 +144,9 @@ func main() {
 		SpoolDir:       *spool,
 		JobLogDir:      *joblogDir,
 		TenantQPS:      *tenantQPS,
-		PriorityQueue:  *priorityQueue,
 		Injector:       injector,
 		EnablePprof:    *enablePprof,
 		Logger:         logger,
-		Tracer:         trace.New(trace.Options{Recent: *traceRecent, SlowPerOp: *traceSlow}),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trapd:", err)

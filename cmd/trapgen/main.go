@@ -17,7 +17,6 @@ import (
 	"github.com/trap-repro/trap/internal/assess"
 	"github.com/trap-repro/trap/internal/bench"
 	"github.com/trap-repro/trap/internal/core"
-	"github.com/trap-repro/trap/internal/schema"
 	"github.com/trap-repro/trap/internal/sqlx"
 	"github.com/trap-repro/trap/internal/workload"
 )
@@ -46,27 +45,13 @@ func run(dataset, advName, constraint string, eps, nWorkloads int, seed int64, s
 	}
 	p.Eps = eps
 
-	var s *schema.Schema
-	switch dataset {
-	case "tpch":
-		s = bench.TPCH(p.ScaleDown)
-	case "tpcds":
-		s = bench.TPCDS(p.ScaleDown)
-	case "transaction":
-		s = bench.TRANSACTION(p.ScaleDown)
-	default:
-		return fmt.Errorf("unknown dataset %q", dataset)
+	s, err := bench.ByName(dataset, p.ScaleDown)
+	if err != nil {
+		return err
 	}
-	var pc core.PerturbConstraint
-	switch constraint {
-	case "value":
-		pc = core.ValueOnly
-	case "column":
-		pc = core.ColumnConsistent
-	case "shared":
-		pc = core.SharedTable
-	default:
-		return fmt.Errorf("unknown constraint %q", constraint)
+	pc, err := core.ParseConstraint(constraint)
+	if err != nil {
+		return err
 	}
 
 	suite, err := assess.NewSuite(dataset, s, p, seed)

@@ -124,6 +124,19 @@ func edge(lt, lc, rt, rc string) schema.JoinEdge {
 	return schema.JoinEdge{LeftTable: lt, LeftColumn: lc, RightTable: rt, RightColumn: rc}
 }
 
+// ByName builds the named dataset's schema: tpch, tpcds or transaction.
+func ByName(name string, scaleDown int64) (*schema.Schema, error) {
+	switch name {
+	case "tpch":
+		return TPCH(scaleDown), nil
+	case "tpcds":
+		return TPCDS(scaleDown), nil
+	case "transaction":
+		return TRANSACTION(scaleDown), nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q (want tpch, tpcds or transaction)", name)
+}
+
 // TPCH builds the TPC-H schema (8 tables, 61 columns) with SF1
 // cardinalities divided by scaleDown (use 1 for full SF1; the experiments
 // use 10 to keep plan arithmetic small without changing any trade-off).

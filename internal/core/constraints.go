@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // PerturbConstraint is one of the three perturbation constraints of
 // Table I, controlling which token types of a query may be modified.
 type PerturbConstraint int
@@ -29,6 +31,21 @@ func (c PerturbConstraint) String() string {
 		return "SharedTable"
 	}
 	return "unknown"
+}
+
+// ParseConstraint maps a constraint name to its constraint: value
+// (value-only), column (column-consistent) or shared (shared-table; also
+// the empty name).
+func ParseConstraint(name string) (PerturbConstraint, error) {
+	switch name {
+	case "value", "value-only":
+		return ValueOnly, nil
+	case "column", "column-consistent":
+		return ColumnConsistent, nil
+	case "", "shared", "shared-table":
+		return SharedTable, nil
+	}
+	return 0, fmt.Errorf("unknown perturbation constraint %q (want value, column or shared)", name)
 }
 
 // AllConstraints lists the three constraints in paper order.

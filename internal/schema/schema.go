@@ -344,6 +344,33 @@ func (ix Index) SizeBytes(s *Schema) float64 {
 // Config is a set of indexes (an index configuration).
 type Config []Index
 
+// ParseIndexes parses index specs in the Key format, "table(col1,col2)",
+// into a Config; blank specs are skipped.
+func ParseIndexes(specs []string) (Config, error) {
+	var cfg Config
+	for _, part := range specs {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		open := strings.IndexByte(part, '(')
+		if open <= 0 || !strings.HasSuffix(part, ")") {
+			return nil, fmt.Errorf("bad index spec %q (want table(col,...))", part)
+		}
+		table := strings.TrimSpace(part[:open])
+		var cols []string
+		for _, c := range strings.Split(part[open+1:len(part)-1], ",") {
+			c = strings.TrimSpace(c)
+			if c == "" {
+				return nil, fmt.Errorf("bad index spec %q: empty column", part)
+			}
+			cols = append(cols, c)
+		}
+		cfg = cfg.Add(Index{Table: table, Columns: cols})
+	}
+	return cfg, nil
+}
+
 // Contains reports whether the configuration includes the index.
 func (c Config) Contains(ix Index) bool {
 	for _, x := range c {

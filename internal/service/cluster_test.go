@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,9 +27,8 @@ import (
 	"github.com/trap-repro/trap/internal/obs"
 )
 
-// clusterServer is a shared server with the cluster-grade features on:
-// per-tenant quotas (high enough not to bother tests that use their own
-// tenant) and the priority queue.
+// clusterServer is a shared server with per-tenant quotas on (high
+// enough not to bother tests that use their own tenant).
 var (
 	clusterOnce sync.Once
 	clusterSrv  *Server
@@ -39,16 +39,15 @@ func clusterServer(t *testing.T) *Server {
 	t.Helper()
 	clusterOnce.Do(func() {
 		clusterSrv, clusterErr = NewServer(Config{
-			Datasets:      []string{"tpch"},
-			Params:        tinyParams(),
-			Seed:          11,
-			Workers:       2,
-			QueueDepth:    8,
-			JobTimeout:    2 * time.Minute,
-			TenantQPS:     2,
-			PriorityQueue: true,
-			Registry:      obs.NewRegistry(),
-			Logger:        discardLogger(),
+			Datasets:   []string{"tpch"},
+			Params:     tinyParams(),
+			Seed:       11,
+			Workers:    2,
+			QueueDepth: 8,
+			JobTimeout: 2 * time.Minute,
+			TenantQPS:  2,
+			Registry:   obs.NewRegistry(),
+			Logger:     discardLogger(),
 		})
 	})
 	if clusterErr != nil {
@@ -302,6 +301,41 @@ func TestWorkerPoolPriorityOrder(t *testing.T) {
 	p.shutdown(ctx)
 }
 
+// TestInteractiveJobOvertakesBatch: trapd honours X-Trap-Priority with
+// no setting: with the single worker busy, an interactive submission
+// starts before the batch ones queued ahead of it.
+func TestInteractiveJobOvertakesBatch(t *testing.T) {
+	g := &costGate{entered: make(chan struct{}), release: make(chan struct{})}
+	s := newFaultServer(t, func(c *Config) {
+		c.Workers = 1
+		c.Injector = g
+	})
+	h := s.Handler()
+	g.armed.Store(true)
+	gate := submitJob(t, h, "Drop", "Random")
+	select {
+	case <-g.entered:
+	case <-time.After(time.Minute):
+		t.Fatal("gate job never reached a what-if cost call")
+	}
+	b1 := submitTenantJob(t, h, "prio", "")
+	b2 := submitTenantJob(t, h, "prio", "batch")
+	i1 := submitTenantJob(t, h, "prio", "interactive")
+	close(g.release)
+	started := map[string]time.Time{}
+	for _, id := range []string{gate.ID, b1.ID, b2.ID, i1.ID} {
+		j := pollTerminal(t, h, id, time.Minute)
+		if j.Status != JobDone || j.Started == nil {
+			t.Fatalf("job %s ended %s (%s)", id, j.Status, j.Error)
+		}
+		started[id] = *j.Started
+	}
+	if !started[i1.ID].Before(started[b1.ID]) || !started[i1.ID].Before(started[b2.ID]) {
+		t.Fatalf("interactive job started at %v, after batch jobs queued before it (%v, %v)",
+			started[i1.ID], started[b1.ID], started[b2.ID])
+	}
+}
+
 // sseFrame is one parsed Server-Sent Event.
 type sseFrame struct {
 	ID    int64
@@ -528,8 +562,8 @@ func TestSSEStreamAndResume(t *testing.T) {
 }
 
 // dropTestJob removes a job that a test put into a shared server's
-// table by hand: it ends the job at the zero time, so the GC collects it
-// and no job a real run finished.
+// table by hand: it ends the job at the zero time and publishes that
+// state, so the GC collects it and no job a real run finished.
 func dropTestJob(s *Server, id string) {
 	s.jobs.finish(id, func(j *Job) {
 		if !j.Status.terminal() {
@@ -537,6 +571,7 @@ func dropTestJob(s *Server, id string) {
 		}
 		j.Finished = &time.Time{}
 	})
+	s.publishState(id)
 	s.jobs.gc(time.Hour, time.Now())
 }
 
@@ -744,6 +779,95 @@ func TestCancelGCNoResurrectionNoLeak(t *testing.T) {
 	defer s2.Close()
 	if n := s2.jobs.size(); n != 0 {
 		t.Fatalf("restart resurrected %d GC'd jobs: %+v", n, s2.jobs.list())
+	}
+}
+
+// appendGate is a costGate that also delays the job log's n-th append.
+type appendGate struct {
+	costGate
+	n       int32
+	delay   time.Duration
+	appends atomic.Int32
+}
+
+func (g *appendGate) Fire(point string) error {
+	if point == faultinject.PointJoblogAppend && g.appends.Add(1) == g.n {
+		time.Sleep(g.delay)
+	}
+	return g.costGate.Fire(point)
+}
+
+// TestStreamEndsAfterTerminalRecord: a job's SSE stream ends only once
+// its terminal state record is in the job log on disk. The GC collects
+// only jobs whose stream has ended, so the job's drop record can never
+// come before that record, and replay cannot restore a GC'd job. The
+// terminal append is slowed to widen the window.
+func TestStreamEndsAfterTerminalRecord(t *testing.T) {
+	dir := t.TempDir()
+	g := &appendGate{
+		costGate: costGate{entered: make(chan struct{}), release: make(chan struct{})},
+		n:        3, // submit, running, then the terminal state
+		delay:    500 * time.Millisecond,
+	}
+	s := newFaultServer(t, func(c *Config) {
+		c.JobLogDir = dir
+		c.Injector = g
+	})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Hold the job inside its run, so the stream is open before it ends.
+	g.armed.Store(true)
+	job := submitJob(t, s.Handler(), "Drop", "Random")
+	select {
+	case <-g.entered:
+	case <-time.After(time.Minute):
+		t.Fatal("job never reached a what-if cost call")
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(g.release)
+	io.Copy(io.Discard, resp.Body) // returns when the stream ends
+	resp.Body.Close()
+
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []byte
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, b...)
+	}
+	if !bytes.Contains(log, []byte(`"status":"done"`)) {
+		t.Fatal("the job's stream ended before its terminal state was in the job log")
+	}
+}
+
+// TestGCSkipsUnpublishedTerminalJob: a job made terminal in the store
+// but not yet published (logged, then streamed) is not collected, however
+// old; once published, it is.
+func TestGCSkipsUnpublishedTerminalJob(t *testing.T) {
+	s := newFaultServer(t, func(c *Config) { c.JobTTL = time.Millisecond })
+	defer s.Close()
+	j := s.jobs.create(Job{Dataset: "tpch", Advisor: "Drop", Method: "Random"})
+	fin := time.Now().Add(-time.Hour)
+	s.jobs.finish(j.ID, func(j *Job) {
+		j.Status = JobDone
+		j.Finished = &fin
+	})
+	if n := s.collectGarbage(context.Background(), time.Now()); n != 0 {
+		t.Fatalf("gc collected %d jobs whose terminal state was not published, want 0", n)
+	}
+	s.publishState(j.ID)
+	if n := s.collectGarbage(context.Background(), time.Now()); n != 1 {
+		t.Fatalf("gc collected %d published terminal jobs, want 1", n)
 	}
 }
 

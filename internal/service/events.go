@@ -158,6 +158,13 @@ func (h *jobHub) closeHub() {
 	}
 }
 
+// ended reports whether the stream is complete.
+func (h *jobHub) ended() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.closed
+}
+
 // GET /v1/jobs/{id}/events
 //
 // handleJobEvents streams a job's progress as Server-Sent Events:

@@ -481,6 +481,8 @@ func TestJobStoreGC(t *testing.T) {
 			j.Status = status
 			j.Finished = fin
 		})
+		j, e := st.entry(j.ID)
+		e.hub.publishState(j)
 		return j.ID
 	}
 	doneOld := mk(JobDone, &old)

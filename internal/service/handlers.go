@@ -15,6 +15,7 @@ import (
 	"github.com/trap-repro/trap/internal/admission"
 	"github.com/trap-repro/trap/internal/assess"
 	"github.com/trap-repro/trap/internal/buildinfo"
+	"github.com/trap-repro/trap/internal/core"
 	"github.com/trap-repro/trap/internal/engine"
 	"github.com/trap-repro/trap/internal/obs"
 	"github.com/trap-repro/trap/internal/schema"
@@ -313,7 +314,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse error: %v", err)
 		return
 	}
-	cfg, err := ParseIndexes(req.Indexes)
+	cfg, err := schema.ParseIndexes(req.Indexes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -419,7 +420,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			SizeBytes: cfg.SizeBytes(suite.E.Schema()),
 		}
 		for _, ix := range cfg {
-			resp.Indexes = append(resp.Indexes, formatIndex(ix))
+			resp.Indexes = append(resp.Indexes, ix.Key())
 		}
 		base, err := workload.Cost(suite.E, wl, nil, engine.ModeEstimated)
 		if err == nil && base > 0 {
@@ -471,7 +472,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 			req.Method, strings.Join(assess.MethodNames, ", "))
 		return
 	}
-	if _, err := parseConstraint(req.Constraint); err != nil {
+	if _, err := core.ParseConstraint(req.Constraint); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -489,14 +490,10 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	pri := admission.Batch
-	if s.cfg.PriorityQueue {
-		p, err := admission.ParsePriority(r.Header.Get("X-Trap-Priority"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		pri = p
+	pri, err := admission.ParsePriority(r.Header.Get("X-Trap-Priority"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	if d := s.adm.Admit(tenant, time.Now()); !d.Admit {
 		s.mShedQuota.Inc()
@@ -515,15 +512,11 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		Priority:   pri.String(),
 	})
 	s.appendJobRecord(recSubmit, job)
-	s.mJobsSub.Inc()
 	if err := s.pool.submit(job.ID, pri); err != nil {
-		now := time.Now()
-		s.jobs.update(job.ID, func(j *Job) {
-			j.Status = JobFailed
-			j.Error = err.Error()
-			j.Finished = &now
-		})
-		s.publishState(job.ID)
+		// The client gets no job ID, so no job is left behind: the entry
+		// goes, and a drop record keeps a restart from bringing it back.
+		s.jobs.remove(job.ID)
+		s.appendDrop(r.Context(), job.ID)
 		// 503 + Retry-After: the condition is load (or shutdown), not a
 		// bad request — the client should resubmit later. The hint comes
 		// from the observed queue drain rate, not a constant guess.
@@ -536,6 +529,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	s.mJobsSub.Inc()
 	writeJSON(w, http.StatusAccepted, job)
 }
 
@@ -671,35 +665,4 @@ func (s *Server) suiteFor(w http.ResponseWriter, name string) (*assess.Suite, bo
 		return nil, false
 	}
 	return suite, true
-}
-
-// ParseIndexes parses "table(col1,col2)" index specs into a Config.
-func ParseIndexes(specs []string) (schema.Config, error) {
-	var cfg schema.Config
-	for _, part := range specs {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		open := strings.IndexByte(part, '(')
-		if open <= 0 || !strings.HasSuffix(part, ")") {
-			return nil, fmt.Errorf("bad index spec %q (want table(col,...))", part)
-		}
-		table := strings.TrimSpace(part[:open])
-		var cols []string
-		for _, c := range strings.Split(part[open+1:len(part)-1], ",") {
-			c = strings.TrimSpace(c)
-			if c == "" {
-				return nil, fmt.Errorf("bad index spec %q: empty column", part)
-			}
-			cols = append(cols, c)
-		}
-		cfg = cfg.Add(schema.Index{Table: table, Columns: cols})
-	}
-	return cfg, nil
-}
-
-// formatIndex renders an index in the same spec format ParseIndexes reads.
-func formatIndex(ix schema.Index) string {
-	return fmt.Sprintf("%s(%s)", ix.Table, strings.Join(ix.Columns, ","))
 }

@@ -276,21 +276,32 @@ func (s *jobStore) size() int {
 	return len(s.jobs)
 }
 
-// gc removes terminal jobs that finished more than ttl ago, ending any
-// stream still attached to them, and returns their IDs so the caller
-// can drop them from the job log too. Running and pending jobs are
+// remove deletes the job's entry and ends its stream.
+func (s *jobStore) remove(id string) {
+	s.mu.Lock()
+	e, ok := s.jobs[id]
+	delete(s.jobs, id)
+	s.mu.Unlock()
+	if ok {
+		e.hub.closeHub()
+	}
+}
+
+// gc removes terminal jobs that finished more than ttl ago and returns
+// their IDs so the caller can drop them from the job log too. It skips
+// a job whose stream has not ended yet: the server ends it only after
+// the terminal state is in the job log. Running and pending jobs are
 // never collected.
 func (s *jobStore) gc(ttl time.Duration, now time.Time) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var dropped []string
 	for id, e := range s.jobs {
-		if !e.job.Status.terminal() || e.job.Finished == nil {
+		if !e.job.Status.terminal() || e.job.Finished == nil || !e.hub.ended() {
 			continue
 		}
 		if now.Sub(*e.job.Finished) >= ttl {
 			delete(s.jobs, id)
-			e.hub.closeHub()
 			dropped = append(dropped, id)
 		}
 	}

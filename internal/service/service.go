@@ -69,26 +69,9 @@ import (
 	"github.com/trap-repro/trap/internal/joblog"
 	"github.com/trap-repro/trap/internal/obs"
 	olog "github.com/trap-repro/trap/internal/obs/log"
-	"github.com/trap-repro/trap/internal/schema"
 	"github.com/trap-repro/trap/internal/telemetry"
 	"github.com/trap-repro/trap/internal/trace"
 )
-
-// DatasetNames lists the datasets trapd can serve.
-var DatasetNames = []string{"tpch", "tpcds", "transaction"}
-
-// SchemaByName builds the named benchmark schema.
-func SchemaByName(name string, scaleDown int64) (*schema.Schema, error) {
-	switch name {
-	case "tpch":
-		return bench.TPCH(scaleDown), nil
-	case "tpcds":
-		return bench.TPCDS(scaleDown), nil
-	case "transaction":
-		return bench.TRANSACTION(scaleDown), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %q", name)
-}
 
 // Config parameterizes a Server.
 type Config struct {
@@ -140,10 +123,6 @@ type Config struct {
 	// X-Trap-Tenant header) may submit at this sustained rate, in bursts
 	// of ceil(TenantQPS). <= 0 disables quotas.
 	TenantQPS float64
-	// PriorityQueue honors the X-Trap-Priority header (interactive jobs
-	// are dequeued before batch ones). Off by default: without the flag
-	// the header is ignored and all jobs are batch.
-	PriorityQueue bool
 	// Injector arms the fault-injection points in the suites' engines
 	// and frameworks (nil — the default — disables injection).
 	Injector faultinject.Injector
@@ -291,7 +270,7 @@ func NewServer(cfg Config) (_ *Server, err error) {
 		s.ckpt = &ckptStore{dir: cfg.SpoolDir, seed: cfg.Seed}
 	}
 	for _, name := range cfg.Datasets {
-		sch, err := SchemaByName(name, cfg.Params.ScaleDown)
+		sch, err := bench.ByName(name, cfg.Params.ScaleDown)
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
@@ -525,15 +504,27 @@ func (s *Server) appendJobRecord(typ string, j Job) {
 	}
 }
 
-// publishState streams the job's current lifecycle state, mirrors it to
-// the job log, and — when the state is terminal — finalizes the stream.
+// publishState appends the job's current lifecycle state to the job log,
+// then streams it and — when the state is terminal — ends the stream.
+// The GC collects only jobs whose stream has ended, so a job's drop
+// record always follows its terminal state record in the log.
 func (s *Server) publishState(id string) {
 	j, e := s.jobs.entry(id)
 	if e == nil {
 		return
 	}
-	e.hub.publishState(j)
 	s.appendJobRecord(recState, j)
+	e.hub.publishState(j)
+}
+
+// appendDrop appends the drop record that makes replay forget the job.
+func (s *Server) appendDrop(ctx context.Context, id string) {
+	if s.jlog == nil {
+		return
+	}
+	if _, err := s.jlog.Append(recDrop, id, nil); err != nil {
+		s.log.Warn(ctx, "trapd: job log drop append failed", "job", id, "err", err)
+	}
 }
 
 // Close closes the job log and releases the spool's lock, so another
@@ -554,24 +545,22 @@ func (s *Server) Close() error {
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.mRequests.Inc()
-		s.reg.Counter(routeCounterName(r)).Inc()
+		s.reg.Counter(routeCounterName(s.mux, r)).Inc()
 		defer obs.StartSpan(s.mReqSecs).End()
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		s.mux.ServeHTTP(w, r)
 	})
 }
 
-// routeCounterName buckets request paths into low-cardinality metric
-// names (job IDs are collapsed).
-func routeCounterName(r *http.Request) string {
-	path := r.URL.Path
-	if strings.HasPrefix(path, "/v1/jobs/") {
-		path = "/v1/jobs"
+// routeCounterName names the per-route request counter by the pattern
+// the request matches, so the route table bounds the series; requests
+// that match no route share one series.
+func routeCounterName(mux *http.ServeMux, r *http.Request) string {
+	_, route := mux.Handler(r)
+	if route == "" {
+		route = "unmatched"
 	}
-	if strings.HasPrefix(path, "/v1/traces/") {
-		path = "/v1/traces"
-	}
-	return fmt.Sprintf("trapd_http_requests_total{path=%q}", path)
+	return fmt.Sprintf("trapd_http_requests_total{route=%q}", route)
 }
 
 // Suite returns the named dataset's suite (nil when not loaded).
@@ -646,21 +635,17 @@ func (s *Server) gcLoop(ctx context.Context) {
 	}
 }
 
-// collectGarbage drops terminal jobs past their TTL: their entries (and
-// with them their streams and series) from the job table and — via a
-// tombstone — from the durable job log, so a restart does not resurrect
-// what the GC already forgot.
+// collectGarbage drops terminal jobs past their TTL whose streams have
+// ended: their entries (and with them their streams and series) from the
+// job table and — via a tombstone — from the durable job log, so a
+// restart does not resurrect what the GC already forgot.
 func (s *Server) collectGarbage(ctx context.Context, now time.Time) int {
 	dropped := s.jobs.gc(s.cfg.JobTTL, now)
 	if len(dropped) == 0 {
 		return 0
 	}
 	for _, id := range dropped {
-		if s.jlog != nil {
-			if _, err := s.jlog.Append(recDrop, id, nil); err != nil {
-				s.log.Warn(ctx, "trapd: job log drop append failed", "job", id, "err", err)
-			}
-		}
+		s.appendDrop(ctx, id)
 	}
 	s.mJobsGCed.Add(int64(len(dropped)))
 	s.log.Info(ctx, "trapd: gc dropped finished jobs", "count", len(dropped), "ttl", s.cfg.JobTTL)
@@ -843,7 +828,7 @@ func (s *Server) runAssessment(ctx context.Context, j Job, e *jobEntry) (res *Jo
 	if err != nil {
 		return nil, err
 	}
-	pc, err := parseConstraint(j.Constraint)
+	pc, err := core.ParseConstraint(j.Constraint)
 	if err != nil {
 		return nil, err
 	}
@@ -900,19 +885,6 @@ func (s *Server) runAssessment(ctx context.Context, j Job, e *jobEntry) (res *Jo
 		}
 	}
 	return res, nil
-}
-
-// parseConstraint maps the wire name to a perturbation constraint.
-func parseConstraint(name string) (core.PerturbConstraint, error) {
-	switch name {
-	case "", "shared", "shared-table":
-		return core.SharedTable, nil
-	case "value", "value-only":
-		return core.ValueOnly, nil
-	case "column", "column-consistent":
-		return core.ColumnConsistent, nil
-	}
-	return 0, fmt.Errorf("unknown perturbation constraint %q (want value, column or shared)", name)
 }
 
 // runBounded runs f on its own goroutine and returns its result, or

@@ -19,6 +19,7 @@ import (
 	"github.com/trap-repro/trap/internal/assess"
 	"github.com/trap-repro/trap/internal/faultinject"
 	olog "github.com/trap-repro/trap/internal/obs/log"
+	"github.com/trap-repro/trap/internal/schema"
 )
 
 // tinyParams shrinks QuickParams so the shared test server builds in a
@@ -212,7 +213,7 @@ func TestAdviseEndpoint(t *testing.T) {
 		t.Fatalf("expected a useful recommendation, got %+v", resp)
 	}
 	// Recommended specs round-trip through the index-spec parser.
-	if _, err := ParseIndexes(resp.Indexes); err != nil {
+	if _, err := schema.ParseIndexes(resp.Indexes); err != nil {
 		t.Fatalf("unparseable recommendation %v: %v", resp.Indexes, err)
 	}
 
@@ -388,15 +389,18 @@ func metricValue(body []byte, name string) (float64, bool) {
 }
 
 // TestQueueFullAndDrain saturates a single worker, checks queue
-// overflow handling, then shuts the pool down and verifies the running
-// job drains while queued jobs cancel. It uses a dedicated server with
-// an injected per-workload delay so the first job stays observably
-// running: on a warm cache the batch-costing path finishes a
+// overflow handling (the refused submission leaves no job behind, not
+// even in the job log), then shuts the pool down and verifies the
+// running job drains while queued jobs cancel. It uses a dedicated
+// server with an injected per-workload delay so the first job stays
+// observably running: on a warm cache the batch-costing path finishes a
 // Drop/Random assessment faster than the poll interval.
 func TestQueueFullAndDrain(t *testing.T) {
+	dir := t.TempDir()
 	s := newFaultServer(t, func(c *Config) {
 		c.Workers = 1
 		c.QueueDepth = 2
+		c.JobLogDir = dir
 		c.Injector = faultinject.NewSeeded(1, faultinject.Rule{
 			Point: faultinject.PointRLWorkload, Action: faultinject.ActDelay,
 			Every: 1, Delay: 200 * time.Millisecond,
@@ -421,6 +425,14 @@ func TestQueueFullAndDrain(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("expected 503 on full queue, got %d", code)
 	}
+	accepted := []string{running.ID, queued[0].ID, queued[1].ID}
+	if got := listedJobIDs(t, h); got != strings.Join(accepted, ",") {
+		t.Fatalf("/v1/jobs after the refusal lists %s, want only the accepted %v", got, accepted)
+	}
+	_, body := getPath(t, h, "/metrics")
+	if v, _ := metricValue(body, "trapd_jobs_submitted_total"); v != 3 {
+		t.Fatalf("trapd_jobs_submitted_total = %g after 3 accepted and 1 refused, want 3", v)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -436,6 +448,34 @@ func TestQueueFullAndDrain(t *testing.T) {
 			t.Errorf("queued job %s: want canceled, got %s", q.ID, got.Status)
 		}
 	}
+
+	// A restart on the job log restores the accepted jobs only.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newFaultServer(t, func(c *Config) { c.JobLogDir = dir })
+	defer s2.Close()
+	if got := listedJobIDs(t, s2.Handler()); got != strings.Join(accepted, ",") {
+		t.Fatalf("restart restored %s, want only the accepted %v", got, accepted)
+	}
+}
+
+// listedJobIDs returns the IDs /v1/jobs lists, comma-joined.
+func listedJobIDs(t *testing.T, h http.Handler) string {
+	t.Helper()
+	code, body := getPath(t, h, "/v1/jobs")
+	if code != http.StatusOK {
+		t.Fatalf("list jobs: %d %s", code, body)
+	}
+	var resp jobListResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, j := range resp.Jobs {
+		ids = append(ids, j.ID)
+	}
+	return strings.Join(ids, ",")
 }
 
 // TestServeGracefulShutdown boots the real listener on the shared

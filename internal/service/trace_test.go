@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -192,5 +193,35 @@ func TestMetricsFormats(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "# TYPE trapd_http_requests_total counter") {
 		t.Fatalf("?format=plain did not serve the Prometheus exposition:\n%.200s", rec.Body.String())
+	}
+}
+
+// TestRouteCountersBounded: per-route request counters are named by the
+// route that matched, so unknown paths share one series and the route
+// table bounds how many there are.
+func TestRouteCountersBounded(t *testing.T) {
+	s := testServer(t)
+	h := s.Handler()
+	routeSeries := func() int {
+		n := 0
+		for name := range s.reg.Values() {
+			if strings.HasPrefix(name, "trapd_http_requests_total{") {
+				n++
+			}
+		}
+		return n
+	}
+	before := routeSeries()
+	for i := 0; i < 200; i++ {
+		if code, _ := getPath(t, h, fmt.Sprintf("/no/such/path/%d", i)); code != http.StatusNotFound {
+			t.Fatalf("unknown path: %d, want 404", code)
+		}
+	}
+	if added := routeSeries() - before; added > 1 {
+		t.Fatalf("200 unknown paths added %d route series, want at most 1", added)
+	}
+	getPath(t, h, "/v1/jobs/job-999999")
+	if _, ok := s.reg.Values()[`trapd_http_requests_total{route="GET /v1/jobs/{id}"}`]; !ok {
+		t.Fatal("no request counter named by the matched route GET /v1/jobs/{id}")
 	}
 }

@@ -18,7 +18,7 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 }
 
 // BenchmarkTelemetryAppend measures the enabled steady-state append,
-// including the FromContext lookup and sharded series resolution.
+// including the FromContext lookup and the series lookup.
 func BenchmarkTelemetryAppend(b *testing.B) {
 	sc := NewScope()
 	ctx := NewContext(context.Background(), sc)
@@ -37,7 +37,7 @@ func BenchmarkTelemetryAppend(b *testing.B) {
 // BenchmarkTelemetrySnapshot measures the read side the HTTP telemetry
 // endpoint pays per scrape.
 func BenchmarkTelemetrySnapshot(b *testing.B) {
-	sc := newScope(256, 16)
+	sc := newScope(256)
 	for s := 0; s < 8; s++ {
 		ser := sc.Series(string(rune('a' + s)))
 		for i := 1; i <= 1000; i++ {

@@ -1,6 +1,6 @@
 // Package telemetry is the time-series layer on top of internal/obs:
 // where obs answers "what is the value now", telemetry answers "how did
-// it get there". A Scope is a lock-sharded registry of named Series; a
+// it get there". A Scope is a registry of named Series under one lock; a
 // Series is a bounded ring of (step, value) points that grows on demand
 // up to its capacity and then downsamples itself — merging adjacent
 // pairs and doubling its stride — whenever it fills, so an unbounded run
@@ -22,10 +22,8 @@ package telemetry
 
 import (
 	"context"
-	"hash/maphash"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Point is one stored sample: the raw step it covers (for stride > 1,
@@ -178,90 +176,48 @@ const (
 	// seriesStart is the ring storage a new series starts with; it
 	// doubles on demand up to the capacity.
 	seriesStart = 8
-	// maxSeries is a scope's cardinality cap: once this many distinct
-	// series exist, Series returns nil (whose methods are no-ops) and
-	// the Dropped counter grows.
-	maxSeries   = 64
-	scopeShards = 8
 )
 
-var scopeSeed = maphash.MakeSeed()
-
-type shard struct {
-	mu sync.RWMutex
-	m  map[string]*Series
-}
-
-// Scope is a lock-sharded registry of named series — one per job, or
-// one per subsystem. All methods are safe on a nil *Scope and safe for
-// concurrent use.
+// Scope is a registry of named series under one lock — one scope per
+// job. All methods are safe on a nil *Scope and safe for concurrent use.
 type Scope struct {
-	shards    [scopeShards]shard
-	capacity  int          // per-series ring size
-	maxSeries int          // cardinality cap
-	n         atomic.Int64 // live series count, raced against maxSeries
-	dropped   atomic.Int64 // creations refused by the cardinality cap
+	mu       sync.Mutex
+	m        map[string]*Series
+	capacity int // per-series ring size
 }
 
-// NewScope returns an empty scope: up to 64 series of 512 stored points
-// each.
-func NewScope() *Scope { return newScope(seriesCapacity, maxSeries) }
+// NewScope returns an empty scope whose series hold up to 512 stored
+// points each.
+func NewScope() *Scope { return newScope(seriesCapacity) }
 
-// newScope sizes a scope's rings (rounded up to even, minimum 2) and its
-// cardinality cap.
-func newScope(capacity, maxSeries int) *Scope {
-	sc := &Scope{capacity: capacity, maxSeries: maxSeries}
-	for i := range sc.shards {
-		sc.shards[i].m = make(map[string]*Series)
-	}
-	return sc
+// newScope sizes a scope's rings (rounded up to even, minimum 2).
+func newScope(capacity int) *Scope {
+	return &Scope{m: map[string]*Series{}, capacity: capacity}
 }
 
-// Series returns the named series, creating it on first use. Past the
-// cardinality cap it returns nil — every Series method tolerates that —
-// so unbounded label growth degrades to dropped samples, never to
-// unbounded memory.
+// Series returns the named series, creating it on first use.
 func (sc *Scope) Series(name string) *Series {
 	if sc == nil {
 		return nil
 	}
-	sh := &sc.shards[maphash.String(scopeSeed, name)%scopeShards]
-	sh.mu.RLock()
-	s := sh.m[name]
-	sh.mu.RUnlock()
-	if s != nil {
-		return s
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	s := sc.m[name]
+	if s == nil {
+		s = newSeries(sc.capacity)
+		sc.m[name] = s
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s = sh.m[name]; s != nil {
-		return s
-	}
-	if sc.n.Add(1) > int64(sc.maxSeries) {
-		sc.n.Add(-1)
-		sc.dropped.Add(1)
-		return nil
-	}
-	s = newSeries(sc.capacity)
-	sh.m[name] = s
 	return s
 }
 
-// Dropped reports how many series creations the cardinality cap
-// refused.
-func (sc *Scope) Dropped() int64 {
-	if sc == nil {
-		return 0
-	}
-	return sc.dropped.Load()
-}
-
-// Len reports the number of live series.
+// Len reports the number of series.
 func (sc *Scope) Len() int {
 	if sc == nil {
 		return 0
 	}
-	return int(sc.n.Load())
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return len(sc.m)
 }
 
 // SeriesDump is one series rendered for transport.
@@ -278,19 +234,16 @@ func (sc *Scope) Snapshot() []SeriesDump {
 		return nil
 	}
 	var out []SeriesDump
-	for i := range sc.shards {
-		sh := &sc.shards[i]
-		sh.mu.RLock()
-		for name, s := range sh.m {
-			out = append(out, SeriesDump{
-				Name:   name,
-				Stride: s.Stride(),
-				Count:  s.Count(),
-				Points: s.Points(),
-			})
-		}
-		sh.mu.RUnlock()
+	sc.mu.Lock()
+	for name, s := range sc.m {
+		out = append(out, SeriesDump{
+			Name:   name,
+			Stride: s.Stride(),
+			Count:  s.Count(),
+			Points: s.Points(),
+		})
 	}
+	sc.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -301,16 +254,13 @@ func (sc *Scope) Latest() map[string]float64 {
 	if sc == nil {
 		return nil
 	}
-	out := make(map[string]float64)
-	for i := range sc.shards {
-		sh := &sc.shards[i]
-		sh.mu.RLock()
-		for name, s := range sh.m {
-			if p, ok := s.Latest(); ok {
-				out[name] = p.Value
-			}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	out := make(map[string]float64, len(sc.m))
+	for name, s := range sc.m {
+		if p, ok := s.Latest(); ok {
+			out[name] = p.Value
 		}
-		sh.mu.RUnlock()
 	}
 	return out
 }

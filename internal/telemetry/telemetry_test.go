@@ -120,7 +120,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil scope series = %v", got)
 	}
 	sc.Series("x").Append(1, 2)
-	if sc.Snapshot() != nil || sc.Latest() != nil || sc.Len() != 0 || sc.Dropped() != 0 {
+	if sc.Snapshot() != nil || sc.Latest() != nil || sc.Len() != 0 {
 		t.Fatal("nil scope not inert")
 	}
 	ctx := context.Background()
@@ -129,28 +129,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if NewContext(ctx, nil) != ctx {
 		t.Fatal("NewContext(nil) should return ctx unchanged")
-	}
-}
-
-func TestScopeCardinalityCap(t *testing.T) {
-	sc := newScope(8, 4)
-	for i := 0; i < 4; i++ {
-		if sc.Series(string(rune('a'+i))) == nil {
-			t.Fatalf("series %d refused under the cap", i)
-		}
-	}
-	if sc.Series("overflow") != nil {
-		t.Fatal("cardinality cap did not refuse series 5")
-	}
-	// Refused creations are counted; existing series stay reachable.
-	if sc.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", sc.Dropped())
-	}
-	if sc.Series("a") == nil {
-		t.Fatal("existing series became unreachable after overflow")
-	}
-	if sc.Len() != 4 {
-		t.Fatalf("len = %d, want 4", sc.Len())
 	}
 }
 
@@ -173,7 +151,7 @@ func TestScopeSnapshotSorted(t *testing.T) {
 }
 
 func TestScopeConcurrentAppend(t *testing.T) {
-	sc := newScope(32, 16)
+	sc := newScope(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -213,7 +191,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 		t.Fatalf("disabled telemetry allocates %.1f allocs/op, want 0", disabled)
 	}
 
-	sc := newScope(64, maxSeries)
+	sc := newScope(64)
 	ectx := NewContext(context.Background(), sc)
 	s := FromContext(ectx).Series("rl_loss")
 	// Fill the ring to its capacity: the steady state, where an append

@@ -2,13 +2,13 @@
 // per-request attribution that the aggregate counters and histograms of
 // internal/obs cannot give. A traced operation is a tree of timed spans
 // carrying attributes (workload index, epoch, batch size, cache hit/miss
-// deltas); finished traces land in a lock-sharded ring-buffered store
-// with two retention policies:
+// deltas); finished traces land in a store under one lock with two
+// retention policies:
 //
-//   - recency: the last Recent traces, spread over the store's shards;
-//   - tail latency: the slowest SlowPerOp traces per root operation are
-//     always kept, however old, so the outliers that matter for p99
-//     debugging survive churn from fast traces.
+//   - recency: the last Recent traces, in one ring;
+//   - tail latency: the slowest 8 traces per root operation are always
+//     kept, however old, so the outliers that matter for p99 debugging
+//     survive churn from fast traces.
 //
 // Propagation is by context. Instrumented code calls
 //
@@ -307,19 +307,19 @@ func (s *Span) End() time.Duration {
 
 // Options parameterizes a Tracer. The zero value gives the defaults.
 type Options struct {
-	// Recent bounds the recency ring across all shards (default 64).
+	// Recent is how many of the latest finished traces the store keeps
+	// (default 64).
 	Recent int
-	// SlowPerOp is the tail-retention width: the slowest N finished
-	// traces of every root operation are always kept (default 8).
-	SlowPerOp int
 	// MaxSpans caps spans recorded per trace; further Start calls
 	// return no-op spans and bump the trace's dropped counter
 	// (default 4096). The store's memory bound is roughly
-	// (Recent + SlowPerOp·ops) · MaxSpans · sizeof(span).
+	// (Recent + slowPerOp·ops) · MaxSpans · sizeof(span).
 	MaxSpans int
 }
 
-const traceShards = 16
+// slowPerOp is the tail-retention width: the slowest slowPerOp finished
+// traces of every root operation are always kept.
+const slowPerOp = 8
 
 // Tracer records traces and retains a bounded set of finished ones.
 type Tracer struct {
@@ -331,11 +331,10 @@ type Tracer struct {
 	// the cost of one atomic load per span end when unset.
 	onSpanEnd atomic.Pointer[func(SpanEnd)]
 
-	shards [traceShards]traceShard // recency rings
-
-	slowMu  sync.Mutex
-	slowCap int
-	slow    map[string][]*Trace // per-op, ascending by duration
+	mu   sync.Mutex
+	ring []*Trace // the last len(ring) finished traces; next is the slot to overwrite
+	next int
+	slow map[string][]*Trace // per-op, ascending by duration
 }
 
 // SetOnSpanEnd installs (or, with nil, removes) a tracer-global callback
@@ -354,32 +353,15 @@ func (t *Tracer) SetOnSpanEnd(fn func(SpanEnd)) {
 	t.onSpanEnd.Store(&fn)
 }
 
-type traceShard struct {
-	mu   sync.Mutex
-	ring []*Trace
-	next int
-}
-
 // New builds a tracer with the given retention options.
 func New(o Options) *Tracer {
 	if o.Recent <= 0 {
 		o.Recent = 64
 	}
-	if o.SlowPerOp <= 0 {
-		o.SlowPerOp = 8
-	}
 	if o.MaxSpans <= 0 {
 		o.MaxSpans = 4096
 	}
-	t := &Tracer{maxSpans: o.MaxSpans, slowCap: o.SlowPerOp, slow: map[string][]*Trace{}}
-	per := (o.Recent + traceShards - 1) / traceShards
-	if per < 1 {
-		per = 1
-	}
-	for i := range t.shards {
-		t.shards[i].ring = make([]*Trace, per)
-	}
-	return t
+	return &Tracer{maxSpans: o.MaxSpans, ring: make([]*Trace, o.Recent), slow: map[string][]*Trace{}}
 }
 
 // Start begins a new root span (a new trace) under this tracer and
@@ -415,32 +397,20 @@ func traceID(n uint64) string {
 // finish retains a finished trace: always in the recency ring, and in
 // the per-op slow set when it ranks among the op's slowest.
 func (t *Tracer) finish(tr *Trace) {
-	sh := &t.shards[fnv(tr.id)%traceShards]
-	sh.mu.Lock()
-	sh.ring[sh.next] = tr
-	sh.next = (sh.next + 1) % len(sh.ring)
-	sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ring[t.next] = tr
+	t.next = (t.next + 1) % len(t.ring)
 
-	t.slowMu.Lock()
-	defer t.slowMu.Unlock()
 	s := t.slow[tr.op]
 	i := sort.Search(len(s), func(i int) bool { return s[i].dur >= tr.dur })
 	s = append(s, nil)
 	copy(s[i+1:], s[i:])
 	s[i] = tr
-	if len(s) > t.slowCap {
+	if len(s) > slowPerOp {
 		s = s[1:] // drop the fastest
 	}
 	t.slow[tr.op] = s
-}
-
-func fnv(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // Get returns a retained finished trace by ID.
@@ -509,20 +479,15 @@ func (t *Tracer) retained() []*Trace {
 			out = append(out, tr)
 		}
 	}
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, tr := range sh.ring {
-			add(tr)
-		}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, tr := range t.ring {
+		add(tr)
 	}
-	t.slowMu.Lock()
 	for _, s := range t.slow {
 		for _, tr := range s {
 			add(tr)
 		}
 	}
-	t.slowMu.Unlock()
 	return out
 }

@@ -103,7 +103,7 @@ func TestFailMarksTraceStatus(t *testing.T) {
 // TestTailRetention verifies the slowest trace of an op survives
 // arbitrarily many faster successors that wash the recency ring.
 func TestTailRetention(t *testing.T) {
-	tr := New(Options{Recent: 16, SlowPerOp: 2})
+	tr := New(Options{Recent: 16})
 	_, slow := tr.Start(context.Background(), "op")
 	time.Sleep(20 * time.Millisecond)
 	slow.End()
@@ -117,8 +117,31 @@ func TestTailRetention(t *testing.T) {
 		t.Fatal("slowest trace evicted despite tail retention")
 	}
 	// The recency ring is bounded: far fewer than 501 traces remain.
-	if n := len(tr.List(Filter{Limit: 10000})); n > 16+2+traceShards {
+	if n := len(tr.List(Filter{Limit: 10000})); n > 16+slowPerOp {
 		t.Fatalf("retained %d traces, want bounded by ring+slow", n)
+	}
+}
+
+// TestRecentTracesAllRetained: after many traces, every one of the last
+// Recent is still retrievable by ID.
+func TestRecentTracesAllRetained(t *testing.T) {
+	for _, recent := range []int{16, 64} {
+		tr := New(Options{Recent: recent})
+		ids := make([]string, 2000)
+		for i := range ids {
+			_, sp := tr.Start(context.Background(), "op")
+			sp.End()
+			ids[i] = sp.TraceID()
+		}
+		found := 0
+		for _, id := range ids[len(ids)-recent:] {
+			if _, ok := tr.Get(id); ok {
+				found++
+			}
+		}
+		if found != recent {
+			t.Errorf("Recent %d: Get finds %d of the last %d traces", recent, found, recent)
+		}
 	}
 }
 
@@ -204,7 +227,7 @@ func TestChromeExport(t *testing.T) {
 // TestConcurrentTracing drives many goroutines through shared traces
 // while a reader lists and exports continuously — the -race target.
 func TestConcurrentTracing(t *testing.T) {
-	tr := New(Options{Recent: 8, SlowPerOp: 2})
+	tr := New(Options{Recent: 8})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
