@@ -53,6 +53,14 @@ go test -race -timeout 300s -count=1 ./internal/joblog ./internal/admission
 # shared encoder pass, against the per-step reference of gruref_test.go.
 go test -race -timeout 300s -count=1 \
     -run 'TestGEMM|TestArenaTrimReleasesOneOffPeak|TestGRUStepMatchesReference|TestBiGRUPassMatchesReference' ./internal/nn
+# So does the RL advisors' one-pass candidate scorer: its logits and
+# every parameter gradient must match the per-candidate Dense chains of
+# scoreref_test.go on synthetic steps (special values included), and a
+# trained SWIRL's and DQN's Recommend, called from four goroutines at
+# once, must return what sequential calls do, with the race detector
+# watching the per-call scratch.
+go test -race -timeout 300s -count=1 \
+    -run 'TestScoreNetMatchesReference|TestRecommendConcurrent' ./internal/advisor
 # The GBDT trainer carries one too: the presorted tree builder must grow
 # the reference per-node-sort builder's trees bit for bit, on synthetic
 # edge cases, on a real suite's utility training set and under a short
@@ -94,6 +102,10 @@ go test -run='^$' -bench='GRU' -benchtime=1x -timeout 120s ./internal/nn
 # allocs-per-decode budget (the tensor arena's dividend) and fails the
 # build if a change regresses past it.
 go test -run='^$' -bench=Rollout -benchtime=1x -timeout 120s ./internal/core
+# One op of the RL advisors' scorer benchmarks: a decision step scored
+# on warm scratch without gradients must not allocate (the benchmark
+# fails the build otherwise), and a short SWIRL training run.
+go test -run='^$' -bench='ScoreCandidates|SWIRLTrain' -benchtime=1x -timeout 120s ./internal/advisor
 # One training run of the learned utility model's recipe at both sample
 # counts: the GBDT builder is most of every suite's set-up.
 go test -run='^$' -bench=Train -benchtime=1x -timeout 120s ./internal/gbdt

@@ -312,7 +312,7 @@ func TestCandidateFeatures(t *testing.T) {
 func TestEnvStepAndMask(t *testing.T) {
 	f := newFixture(t)
 	c := Constraint{MaxIndexes: 2}
-	env := newEnv(context.Background(), f.e, f.w, c, FineState, DefaultOptions(), true, 1, nil)
+	env := newEnv(context.Background(), f.e, f.w, c, FineState, true, 1, newEnvBase(f.e, f.w, DefaultOptions(), nil), nil)
 	mask := env.validMask()
 	if mask[len(env.cands)] {
 		t.Fatal("stop action must be masked while candidates remain")

@@ -53,82 +53,127 @@ func (d *dqnCore) train(ctx context.Context, e *engine.Engine, train []*workload
 	if cm, err := costmodel.TrainOnWorkloads(e, train, 4, seed+1); err == nil {
 		d.cm = cm
 	}
-	opt := nn.NewAdam(2e-3)
-	var buffer []transition
-	eps := d.epsilon
+	t := d.newTrainer(ctx, e, train, c, seed)
 	for ep := 0; ep < episodes; ep++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		w := train[d.rng.Intn(len(train))]
-		env := newEnv(ctx, e, w, c, d.kind, d.opt, d.prune, seed+int64(ep), d.cm)
-		for {
-			state := env.state()
-			mask := env.validMask()
-			var act int
-			if d.rng.Float64() < eps {
-				act = randomValid(mask, d.rng)
-			} else {
-				g := nn.NewGraph(false)
-				act = argmaxMasked(d.q.logits(g, state, env.feats), mask)
-			}
-			if act < 0 {
-				break
-			}
-			r, done := env.step(act)
-			next := env.state()
-			nextMask := env.validMask()
-			buffer = append(buffer, transition{
-				state: state, feats: env.feats, mask: mask, action: act,
-				reward: r, next: next, nextMask: nextMask,
-				done: done || act == len(env.cands),
-			})
-			if len(buffer) > 2000 {
-				buffer = buffer[len(buffer)-2000:]
-			}
-			if done || act == len(env.cands) {
-				break
-			}
-		}
-		// Replay updates.
-		if len(buffer) >= 8 {
-			g := nn.NewGraph(true)
-			for k := 0; k < 8; k++ {
-				tr := buffer[d.rng.Intn(len(buffer))]
-				target := tr.reward
-				if !tr.done {
-					gi := nn.NewGraph(false)
-					nq := d.q.logits(gi, tr.next, tr.feats)
-					na := argmaxMasked(nq, tr.nextMask)
-					if na >= 0 {
-						target += d.gamma * nq.W[na]
-					}
-				}
-				logits := d.q.logits(g, tr.state, tr.feats)
-				// MSE on the chosen action's Q value.
-				diff := logits.W[tr.action] - target
-				logits.G[tr.action] += diff
-			}
-			g.Backward()
-			d.q.params.ClipGrads(5)
-			opt.Step(d.q.params)
-		}
-		if eps > 0.05 {
-			eps *= 0.98
-		}
+		t.episode(ep)
 	}
 	return nil
+}
+
+const (
+	// dqnBatch is the number of replayed transitions per update.
+	dqnBatch = 8
+	// dqnBuffer bounds the replay buffer.
+	dqnBuffer = 2000
+)
+
+// dqnTrainer is one train call: the shared trainer state plus the
+// optimizer, the replay buffer and the exploration rate.
+type dqnTrainer struct {
+	trainer
+	d      *dqnCore
+	seed   int64
+	opt    *nn.Adam
+	buffer []transition
+	eps    float64
+}
+
+func (d *dqnCore) newTrainer(ctx context.Context, e *engine.Engine, train []*workload.Workload, c Constraint, seed int64) *dqnTrainer {
+	return &dqnTrainer{
+		trainer: newTrainer(ctx, e, train, c),
+		d:       d,
+		seed:    seed,
+		opt:     nn.NewAdam(2e-3),
+		eps:     d.epsilon,
+	}
+}
+
+// episode plays one ε-greedy episode into the replay buffer, then
+// replays a batch from it.
+func (t *dqnTrainer) episode(ep int) {
+	t.rollout(ep)
+	if len(t.buffer) >= dqnBatch {
+		t.backward()
+		t.apply()
+	}
+	if t.eps > 0.05 {
+		t.eps *= 0.98
+	}
+}
+
+// rollout draws a training workload and plays an ε-greedy episode on it.
+func (t *dqnTrainer) rollout(ep int) {
+	d := t.d
+	env := t.episodeEnv(d.rng.Intn(len(t.train)), d.kind, d.opt, d.prune, t.seed+int64(ep), d.cm)
+	for {
+		state := env.state()
+		mask := env.validMask()
+		var act int
+		if d.rng.Float64() < t.eps {
+			act = randomValid(mask, d.rng)
+		} else {
+			act = argmaxMasked(d.q.logits(&t.sc, state, env.feats), mask)
+		}
+		if act < 0 {
+			return
+		}
+		r, done := env.step(act)
+		next := env.state()
+		nextMask := env.validMask()
+		t.buffer = append(t.buffer, transition{
+			state: state, feats: env.feats, mask: mask, action: act,
+			reward: r, next: next, nextMask: nextMask,
+			done: done || act == len(env.cands),
+		})
+		if len(t.buffer) > dqnBuffer {
+			t.buffer = t.buffer[len(t.buffer)-dqnBuffer:]
+		}
+		if done || act == len(env.cands) {
+			return
+		}
+	}
+}
+
+// backward records the squared TD error of a replayed batch on the
+// training graph and runs it backward.
+func (t *dqnTrainer) backward() {
+	d, g := t.d, t.g
+	for k := 0; k < dqnBatch; k++ {
+		tr := t.buffer[d.rng.Intn(len(t.buffer))]
+		target := tr.reward
+		if !tr.done {
+			nq := d.q.logits(&t.sc, tr.next, tr.feats)
+			if na := argmaxMasked(nq, tr.nextMask); na >= 0 {
+				target += d.gamma * nq[na]
+			}
+		}
+		logits := d.q.record(g, &t.sc, tr.state, tr.feats)
+		// MSE on the chosen action's Q value.
+		diff := logits.W[tr.action] - target
+		logits.G[tr.action] += diff
+	}
+	g.Backward()
+}
+
+// apply clips and applies the gradients and resets the training graph.
+func (t *dqnTrainer) apply() {
+	t.d.q.params.ClipGrads(5)
+	t.opt.Step(t.d.q.params)
+	t.g.Reset()
 }
 
 // recommend runs a greedy Q rollout.
 func (d *dqnCore) recommend(e *engine.Engine, w *workload.Workload, c Constraint, seed int64) schema.Config {
 	d.ensure(seed)
-	env := newEnv(context.Background(), e, w, c, d.kind, d.opt, d.prune, seed, d.cm)
+	env := newEnv(context.Background(), e, w, c, d.kind, d.prune, seed, newEnvBase(e, w, d.opt, d.cm), d.cm)
+	var sc scoreScratch
 	for {
 		state := env.state()
 		mask := env.validMask()
-		g := nn.NewGraph(false)
-		act := argmaxMasked(d.q.logits(g, state, env.feats), mask)
+		act := argmaxMasked(d.q.logits(&sc, state, env.feats), mask)
 		if act < 0 || act == len(env.cands) {
 			break
 		}

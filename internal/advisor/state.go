@@ -121,25 +121,46 @@ const candFeatLen = 6 + 16
 // representation carries), and a hashed identity so the network can
 // learn index-specific values.
 func CandidateFeatures(e *engine.Engine, w *workload.Workload, ix schema.Index) []float64 {
-	return candidateFeaturesWith(e, w, ix, nil)
+	return candidateFeaturesWith(e, w, []schema.Index{ix}, nil)[0]
 }
 
-// candidateFeaturesWith computes the benefit feature with the advisor's
-// learned cost model when available, and with raw what-if estimates
-// otherwise.
-func candidateFeaturesWith(e *engine.Engine, w *workload.Workload, ix schema.Index, cm *costmodel.Model) []float64 {
-	v := make([]float64, candFeatLen)
-	v[0] = float64(len(ix.Columns))
-	v[1] = math.Log1p(ix.SizeBytes(e.Schema())) / 25
-	if cm != nil {
-		base, err0 := cm.WorkloadCost(e, w, nil)
-		with, err1 := cm.WorkloadCost(e, w, schema.Config{ix})
-		if err0 == nil && err1 == nil && base > 0 {
-			v[5] = (base - with) / base
-		}
-	} else if base := WhatIfCost(e, w, nil); base > 0 {
-		v[5] = (base - WhatIfCost(e, w, schema.Config{ix})) / base
+// candidateFeaturesWith builds every candidate's feature vector, pricing
+// the workload without indexes once for all of them. The benefit feature
+// uses the advisor's learned cost model when available, and raw what-if
+// estimates otherwise.
+func candidateFeaturesWith(e *engine.Engine, w *workload.Workload, ixs []schema.Index, cm *costmodel.Model) [][]float64 {
+	if len(ixs) == 0 {
+		return nil
 	}
+	var base float64
+	var baseErr error
+	if cm != nil {
+		base, baseErr = cm.WorkloadCost(e, w, nil)
+	} else {
+		base = WhatIfCost(e, w, nil)
+	}
+	feats := make([][]float64, len(ixs))
+	for i, ix := range ixs {
+		v := make([]float64, candFeatLen)
+		v[0] = float64(len(ix.Columns))
+		v[1] = math.Log1p(ix.SizeBytes(e.Schema())) / 25
+		if cm != nil {
+			with, err := cm.WorkloadCost(e, w, schema.Config{ix})
+			if baseErr == nil && err == nil && base > 0 {
+				v[5] = (base - with) / base
+			}
+		} else if base > 0 {
+			v[5] = (base - WhatIfCost(e, w, schema.Config{ix})) / base
+		}
+		workloadFeatures(v, w, ix)
+		feats[i] = v
+	}
+	return feats
+}
+
+// workloadFeatures fills how often the workload filters, joins and
+// touches ix's leading column, and ix's hashed identity.
+func workloadFeatures(v []float64, w *workload.Workload, ix schema.Index) {
 	var leadFilter, leadJoin, appears float64
 	lead := sqlx.ColumnRef{Table: ix.Table, Column: ix.Columns[0]}
 	for _, it := range w.Items {
@@ -170,5 +191,4 @@ func candidateFeaturesWith(e *engine.Engine, w *workload.Workload, ix schema.Ind
 	}
 	h := stats.Hash64(ix.Key())
 	v[6+int(h%16)] = 1
-	return v
 }

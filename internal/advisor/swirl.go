@@ -59,8 +59,14 @@ func (a *SWIRL) ensureNets() {
 	a.value = newValueNet(StateLen(a.State), a.Hidden, a.rng)
 }
 
-// ppoClip is PPO's surrogate clipping range.
-const ppoClip = 0.2
+const (
+	// ppoClip is PPO's surrogate clipping range.
+	ppoClip = 0.2
+	// ppoGamma discounts rewards into returns.
+	ppoGamma = 0.95
+	// ppoEpochs is the number of updates on each sampled trajectory.
+	ppoEpochs = 2
+)
 
 // Train implements Trainable with PPO: sampled rollouts, a learned value
 // baseline, and a clipped surrogate objective.
@@ -79,71 +85,113 @@ func (a *SWIRL) TrainCtx(ctx context.Context, e *engine.Engine, train []*workloa
 		return err
 	}
 	a.cm = cm
-	popt := nn.NewAdam(3e-3)
-	vopt := nn.NewAdam(3e-3)
-	gamma := 0.95
+	t := a.newPPOTrainer(ctx, e, train, c)
 	for ep := 0; ep < a.Episodes; ep++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		w := train[a.rng.Intn(len(train))]
-		env := newEnv(ctx, e, w, c, a.State, a.Opt, a.Pruning, a.Seed+int64(ep), a.cm)
-		type stepRec struct {
-			state  []float64
-			mask   []bool
-			action int
-			logp   float64
-			reward float64
-		}
-		var traj []stepRec
-		for {
-			state := env.state()
-			mask := env.validMask()
-			g := nn.NewGraph(false)
-			logits := a.policy.logits(g, state, env.feats)
-			act, logp := sampleMasked(logits, mask, a.rng)
-			r, done := env.step(act)
-			traj = append(traj, stepRec{state: state, mask: mask, action: act, logp: logp, reward: r})
-			if done || act == len(env.cands) {
-				break
-			}
-		}
-		// Discounted returns.
-		returns := make([]float64, len(traj))
-		run := 0.0
-		for i := len(traj) - 1; i >= 0; i-- {
-			run = traj[i].reward + gamma*run
-			returns[i] = run
-		}
-		// PPO epochs over the trajectory.
-		for epoch := 0; epoch < 2; epoch++ {
-			g := nn.NewGraph(true)
-			for i, st := range traj {
-				v := a.value.value(g, st.state)
-				adv := returns[i] - v.W[0]
-				logits := a.policy.logits(g, st.state, env.feats)
-				probs := maskedProbs(logits, st.mask)
-				ratio := expSafe(logProb(probs, st.action) - st.logp)
-				// Clipped surrogate: only propagate the policy gradient
-				// when the ratio is inside the trust region (or moving
-				// back toward it).
-				weight := -adv
-				if (adv > 0 && ratio > 1+ppoClip) || (adv < 0 && ratio < 1-ppoClip) {
-					weight = 0
-				}
-				if weight != 0 {
-					maskedCrossEntropy(logits, st.mask, st.action, weight)
-				}
-				nn.MSELoss(v, returns[i])
-			}
-			g.Backward()
-			a.policy.params.ClipGrads(5)
-			a.value.params.ClipGrads(5)
-			popt.Step(a.policy.params)
-			vopt.Step(a.value.params)
-		}
+		t.episode(ep)
 	}
 	return nil
+}
+
+// ppoTrainer is one TrainCtx call: the shared trainer state plus the
+// policy's and the value baseline's optimizers.
+type ppoTrainer struct {
+	trainer
+	a          *SWIRL
+	popt, vopt *nn.Adam
+}
+
+// ppoStep is one decision of a sampled trajectory.
+type ppoStep struct {
+	state  []float64
+	mask   []bool
+	action int
+	logp   float64
+	reward float64
+}
+
+func (a *SWIRL) newPPOTrainer(ctx context.Context, e *engine.Engine, train []*workload.Workload, c Constraint) *ppoTrainer {
+	return &ppoTrainer{
+		trainer: newTrainer(ctx, e, train, c),
+		a:       a,
+		popt:    nn.NewAdam(3e-3),
+		vopt:    nn.NewAdam(3e-3),
+	}
+}
+
+// episode samples a trajectory and runs the PPO updates on it.
+func (t *ppoTrainer) episode(ep int) {
+	feats, traj := t.rollout(ep)
+	returns := discounted(traj)
+	for epoch := 0; epoch < ppoEpochs; epoch++ {
+		t.backward(feats, traj, returns)
+		t.apply()
+	}
+}
+
+// rollout draws a training workload and samples an episode on it,
+// returning the episode's candidate features and its trajectory.
+func (t *ppoTrainer) rollout(ep int) ([][]float64, []ppoStep) {
+	a := t.a
+	env := t.episodeEnv(a.rng.Intn(len(t.train)), a.State, a.Opt, a.Pruning, a.Seed+int64(ep), a.cm)
+	var traj []ppoStep
+	for {
+		state := env.state()
+		mask := env.validMask()
+		act, logp := sampleMasked(a.policy.logits(&t.sc, state, env.feats), mask, a.rng)
+		r, done := env.step(act)
+		traj = append(traj, ppoStep{state: state, mask: mask, action: act, logp: logp, reward: r})
+		if done || act == len(env.cands) {
+			return env.feats, traj
+		}
+	}
+}
+
+// discounted returns each step's discounted return.
+func discounted(traj []ppoStep) []float64 {
+	returns := make([]float64, len(traj))
+	run := 0.0
+	for i := len(traj) - 1; i >= 0; i-- {
+		run = traj[i].reward + ppoGamma*run
+		returns[i] = run
+	}
+	return returns
+}
+
+// backward records every step's value and clipped-surrogate losses on
+// the training graph and runs it backward.
+func (t *ppoTrainer) backward(feats [][]float64, traj []ppoStep, returns []float64) {
+	a, g := t.a, t.g
+	for i, st := range traj {
+		v := a.value.value(g, st.state)
+		adv := returns[i] - v.W[0]
+		logits := a.policy.record(g, &t.sc, st.state, feats)
+		probs := maskedProbs(logits.W, st.mask)
+		ratio := expSafe(logProb(probs, st.action) - st.logp)
+		// Clipped surrogate: only propagate the policy gradient when the
+		// ratio is inside the trust region (or moving back toward it).
+		weight := -adv
+		if (adv > 0 && ratio > 1+ppoClip) || (adv < 0 && ratio < 1-ppoClip) {
+			weight = 0
+		}
+		if weight != 0 {
+			maskedCrossEntropy(logits, st.mask, st.action, weight)
+		}
+		nn.MSELoss(v, returns[i])
+	}
+	g.Backward()
+}
+
+// apply clips and applies the gradients and resets the training graph.
+func (t *ppoTrainer) apply() {
+	a := t.a
+	a.policy.params.ClipGrads(5)
+	a.value.params.ClipGrads(5)
+	t.popt.Step(a.policy.params)
+	t.vopt.Step(a.value.params)
+	t.g.Reset()
 }
 
 // Recommend implements Advisor with a greedy rollout of the trained
@@ -151,13 +199,12 @@ func (a *SWIRL) TrainCtx(ctx context.Context, e *engine.Engine, train []*workloa
 // called, which mimics an undertrained agent).
 func (a *SWIRL) Recommend(e *engine.Engine, w *workload.Workload, c Constraint) (schema.Config, error) {
 	a.ensureNets()
-	env := newEnv(context.Background(), e, w, c, a.State, a.Opt, a.Pruning, a.Seed, a.cm)
+	env := newEnv(context.Background(), e, w, c, a.State, a.Pruning, a.Seed, newEnvBase(e, w, a.Opt, a.cm), a.cm)
+	var sc scoreScratch
 	for {
 		state := env.state()
 		mask := env.validMask()
-		g := nn.NewGraph(false)
-		logits := a.policy.logits(g, state, env.feats)
-		act := argmaxMasked(logits, mask)
+		act := argmaxMasked(a.policy.logits(&sc, state, env.feats), mask)
 		if act < 0 || act == len(env.cands) {
 			break
 		}

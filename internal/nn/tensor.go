@@ -105,6 +105,13 @@ func (g *Graph) addBack(f func()) {
 	}
 }
 
+// Record appends back to the tape as the backward pass of a fused op
+// whose forward ran outside the graph's own ops, on tensors from Alloc
+// and on values that stay unchanged until Backward. Like every op here,
+// back must add into G buffers with +=. An inference graph records
+// nothing.
+func (g *Graph) Record(back func()) { g.addBack(back) }
+
 // Backward runs the tape in reverse, accumulating gradients into every
 // participating tensor's G buffer.
 func (g *Graph) Backward() {

@@ -503,6 +503,14 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A slot is reserved before the job exists, so a full queue or a
+	// shutdown refuses the submission without touching the job log. The
+	// submit record is durable before the job is enqueued, and so before
+	// any worker can start it.
+	if err := s.pool.reserve(); err != nil {
+		s.refuseCapacity(w, err)
+		return
+	}
 	job := s.jobs.create(Job{
 		Dataset:    req.Dataset,
 		Advisor:    req.Advisor,
@@ -512,25 +520,31 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		Priority:   pri.String(),
 	})
 	s.appendJobRecord(recSubmit, job)
-	if err := s.pool.submit(job.ID, pri); err != nil {
-		// The client gets no job ID, so no job is left behind: the entry
-		// goes, and a drop record keeps a restart from bringing it back.
+	if err := s.pool.enqueue(job.ID, pri); err != nil {
+		// Shutdown began after the reservation. The client gets no job
+		// ID, so no job is left behind: the entry goes, and a drop
+		// record keeps a restart from bringing it back.
 		s.jobs.remove(job.ID)
 		s.appendDrop(r.Context(), job.ID)
-		// 503 + Retry-After: the condition is load (or shutdown), not a
-		// bad request — the client should resubmit later. The hint comes
-		// from the observed queue drain rate, not a constant guess.
-		s.mShedCapacity.Inc()
-		w.Header().Set("Retry-After", retrySeconds(s.adm.CapacityRetryAfter(s.pool.queued(), time.Now())))
-		if errors.Is(err, ErrPoolClosed) {
-			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		} else {
-			writeError(w, http.StatusServiceUnavailable, "job queue full (%d pending)", s.cfg.QueueDepth)
-		}
+		s.refuseCapacity(w, err)
 		return
 	}
 	s.mJobsSub.Inc()
 	writeJSON(w, http.StatusAccepted, job)
+}
+
+// refuseCapacity answers a submission the pool refused with 503 +
+// Retry-After: the condition is load (or shutdown), not a bad request,
+// so the client should resubmit later. The hint comes from the observed
+// queue drain rate, not a constant guess.
+func (s *Server) refuseCapacity(w http.ResponseWriter, err error) {
+	s.mShedCapacity.Inc()
+	w.Header().Set("Retry-After", retrySeconds(s.adm.CapacityRetryAfter(s.pool.queued(), time.Now())))
+	if errors.Is(err, ErrPoolClosed) {
+		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+	} else {
+		writeError(w, http.StatusServiceUnavailable, "job queue full (%d pending)", s.cfg.QueueDepth)
+	}
 }
 
 // retrySeconds renders a Retry-After header value: whole seconds,

@@ -327,8 +327,11 @@ type workerPool struct {
 	cond   *sync.Cond
 	queues [admission.NumPriorities][]string
 	depth  int
-	closed bool
-	wg     sync.WaitGroup
+	// reserved counts slots held by reserve and not yet filled by
+	// enqueue; they count against depth like queued jobs.
+	reserved int
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // newWorkerPool starts n workers pulling job IDs off the priority queue
@@ -376,13 +379,36 @@ func (p *workerPool) next() (string, bool) {
 // cannot: ErrQueueFull when the shared queue is at capacity,
 // ErrPoolClosed when intake has stopped.
 func (p *workerPool) submit(id string, pri admission.Priority) error {
+	if err := p.reserve(); err != nil {
+		return err
+	}
+	return p.enqueue(id, pri)
+}
+
+// reserve holds one queue slot for a job not yet created, or reports
+// why it cannot, as submit does. Every successful reserve must be
+// followed by one enqueue.
+func (p *workerPool) reserve() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrPoolClosed
 	}
-	if p.queuedLocked() >= p.depth {
+	if p.queuedLocked()+p.reserved >= p.depth {
 		return ErrQueueFull
+	}
+	p.reserved++
+	return nil
+}
+
+// enqueue fills a slot taken by reserve with a job ID. It fails only
+// with ErrPoolClosed, when shutdown began after the reservation.
+func (p *workerPool) enqueue(id string, pri admission.Priority) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.reserved--
+	if p.closed {
+		return ErrPoolClosed
 	}
 	p.queues[pri] = append(p.queues[pri], id)
 	p.cond.Signal()

@@ -418,18 +418,28 @@ func TestQueueFullAndDrain(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		queued = append(queued, submitJob(t, h, "Drop", "Random"))
 	}
-	// Queue (depth 2) is now full: the next submission is rejected.
+	// Queue (depth 2) is now full: the next submission is rejected,
+	// before anything reaches the job log.
+	_, body := getPath(t, h, "/metrics")
+	appends, ok := metricValue(body, "trapd_joblog_appends_total")
+	if !ok {
+		t.Fatal("/metrics has no trapd_joblog_appends_total")
+	}
 	code, _ := postJSON(t, h, "/v1/assess", assessRequest{
 		Dataset: "tpch", Advisor: "Drop", Method: "Random",
 	})
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("expected 503 on full queue, got %d", code)
 	}
+	_, body = getPath(t, h, "/metrics")
+	if v, _ := metricValue(body, "trapd_joblog_appends_total"); v != appends {
+		t.Fatalf("trapd_joblog_appends_total went %g -> %g across a refused submission, want unchanged", appends, v)
+	}
 	accepted := []string{running.ID, queued[0].ID, queued[1].ID}
 	if got := listedJobIDs(t, h); got != strings.Join(accepted, ",") {
 		t.Fatalf("/v1/jobs after the refusal lists %s, want only the accepted %v", got, accepted)
 	}
-	_, body := getPath(t, h, "/metrics")
+	_, body = getPath(t, h, "/metrics")
 	if v, _ := metricValue(body, "trapd_jobs_submitted_total"); v != 3 {
 		t.Fatalf("trapd_jobs_submitted_total = %g after 3 accepted and 1 refused, want 3", v)
 	}
