@@ -15,6 +15,8 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# The scaling gate's file builds only under its tag (see the gate step).
+go vet -tags scalinggate ./internal/core
 
 echo "== cross-builds =="
 # The directory lock is flock(2) on unix and absent elsewhere: both
@@ -84,9 +86,18 @@ echo "== parallel scaling gate =="
 # The RLTrain parallel-regression gates, under -race: a 4-worker epoch
 # must not run slower than a 1-worker epoch, and widening the rollout
 # pool must not multiply allocations (the per-worker scratch dividend).
-go test -race -timeout 300s -count=1 \
+# The wall-clock gate builds only under the scalinggate tag, so it is
+# timed here, where no other test binary runs beside it, and not in
+# tier-1, where packages run in parallel and another process holding a
+# CPU slows every 4-worker fan-out.
+go test -race -tags scalinggate -timeout 300s -count=1 \
     -run 'TestRLTrainScalingGate|TestRLTrainAllocsFlatAcrossWorkers' \
     ./internal/core
+# The wall-clock gate once more without the race detector, whose
+# overhead on every epoch hides a slowdown of the 4-worker path: a 5 ms
+# sleep per rollout with more than one worker stretches a raced epoch
+# by about 13% but a plain one by about 2x.
+go test -tags scalinggate -timeout 300s -count=1 -run 'TestRLTrainScalingGate' ./internal/core
 
 echo "== benchmark smoke =="
 # One iteration of every CostBatch benchmark: catches bit-rot in the
@@ -130,11 +141,14 @@ go test -timeout 120s -count=1 \
 
 echo "== trace endpoint smoke =="
 # End-to-end observability check: a real job must yield a retrievable
-# trace with a >=4-level span tree, /metrics must serve both
-# exposition formats, and per-route request counters must be named by
-# the route that matched, so unknown paths add at most one series.
+# trace with a >=4-level span tree; /metrics must serve the Prometheus
+# exposition and count every span of a TRAP job's trace in
+# trapd_span_seconds, while the job's SSE stream carries its epoch,
+# telemetry and cell events from the same spans; and per-route request
+# counters must be named by the route that matched, so unknown paths
+# add at most one series.
 go test -timeout 300s -count=1 \
-    -run 'TestJobTraceEndToEnd|TestMetricsFormats|TestRouteCountersBounded' \
+    -run 'TestJobTraceEndToEnd|TestMetricsFormats|TestJobSpanMetrics|TestRouteCountersBounded' \
     ./internal/service
 
 echo "== crash-replay smoke =="
@@ -147,12 +161,14 @@ echo "== crash-replay smoke =="
 # the GC must skip a terminal job not yet published, so a drop record
 # never precedes the terminal one; a refused submission must leave no
 # job behind, listed, counted or replayed; a degraded job log must
-# drain the server; and one writer per directory: a second server (or
+# drain the server; one writer per directory: a second server (or
 # joblog.Open) on a live directory is refused before any suite is
 # built, a failed start releases its workers and locks, and logs from
-# releases that also wrote lease records replay.
+# releases that also wrote lease records replay; and a job that resumes
+# from the checkpoint a running job of its kind spooled, and the job
+# that wrote it, both return the kind's warm result.
 go test -race -timeout 600s -count=1 \
-    -run 'TestCrashReplayResume|TestJobLogReplayRestores|TestCancelGCNoResurrectionNoLeak|TestStreamEndsAfterTerminalRecord|TestGCSkipsUnpublishedTerminalJob|TestQueueFullAndDrain|TestJobLogDegradedDraining|TestSecondWriterRefused|TestLocksBeforeSuites|TestFailedStartReleasesEverything|TestJobLogReplaySkipsFleetRecords' \
+    -run 'TestCrashReplayResume|TestJobLogReplayRestores|TestCancelGCNoResurrectionNoLeak|TestStreamEndsAfterTerminalRecord|TestGCSkipsUnpublishedTerminalJob|TestQueueFullAndDrain|TestJobLogDegradedDraining|TestSecondWriterRefused|TestLocksBeforeSuites|TestFailedStartReleasesEverything|TestJobLogReplaySkipsFleetRecords|TestResumeFromRunningSibling' \
     ./internal/service
 go test -race -timeout 120s -count=1 -run 'TestOpenLocksDirectory|TestDirLockUnlock' ./internal/joblog
 

@@ -168,7 +168,7 @@ func run() error {
 	for _, line := range strings.Split(string(body), "\n") {
 		for _, want := range []string{
 			"engine_whatif_calls_total", "engine_plan_cache_hit_ratio",
-			"trap_rl_epochs_total", "trapd_jobs_done_total",
+			`trapd_span_seconds_count{span="rl.epoch"}`, "trapd_jobs_done_total",
 		} {
 			if strings.HasPrefix(line, want) {
 				fmt.Println(" ", line)

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/trap-repro/trap/internal/advisor"
-	"github.com/trap-repro/trap/internal/obs"
 	"github.com/trap-repro/trap/internal/par"
 	"github.com/trap-repro/trap/internal/schema"
 	"github.com/trap-repro/trap/internal/telemetry"
@@ -68,7 +67,6 @@ func (s *Suite) MeasureOn(ctx context.Context, m *Method, adv advisor.Advisor, b
 	tsp.Str("advisor", adv.Name())
 	tsp.Int("workloads", int64(len(tests)))
 	defer func() { tsp.Fail(err); tsp.End() }()
-	defer obs.StartSpan(mMeasureSecs).EndExemplar(tsp.TraceID())
 	type cell struct {
 		pairs []Pair
 		sum   float64
@@ -80,7 +78,6 @@ func (s *Suite) MeasureOn(ctx context.Context, m *Method, adv advisor.Advisor, b
 		csp.Int("workload", int64(i))
 		defer func() { csp.Fail(err); csp.End() }()
 		w := tests[i]
-		mAssessedWorkloads.Inc()
 		u, err := s.UtilityOfCtx(ctx, adv, base, ac, w)
 		if err != nil || u <= s.P.Theta {
 			csp.Bool("skipped", true)

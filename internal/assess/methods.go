@@ -7,7 +7,6 @@ import (
 
 	"github.com/trap-repro/trap/internal/advisor"
 	"github.com/trap-repro/trap/internal/core"
-	"github.com/trap-repro/trap/internal/obs"
 	"github.com/trap-repro/trap/internal/trace"
 	"github.com/trap-repro/trap/internal/workload"
 )
@@ -69,7 +68,6 @@ func (s *Suite) BuildMethod(ctx context.Context, name string, pc core.PerturbCon
 	tsp.Str("method", name)
 	tsp.Str("advisor", adv.Name())
 	defer func() { tsp.Fail(err); tsp.End() }()
-	defer obs.StartSpan(mMethodBuildSecs).EndExemplar(tsp.TraceID())
 	epochs := s.P.RLEpochs
 	if mc.RLEpochs > 0 {
 		epochs = mc.RLEpochs

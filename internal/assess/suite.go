@@ -22,17 +22,13 @@ import (
 	"github.com/trap-repro/trap/internal/workload"
 )
 
-// Assessment-phase metrics, aggregated across suites.
+// Assessment-phase metrics, aggregated across suites. The advisor
+// build, method build and measurement are timed by their trace spans.
 var (
-	mSuiteBuildSecs    = obs.Default().Histogram("assess_suite_build_seconds")
-	mAdvisorTrainSecs  = obs.Default().Histogram("assess_advisor_train_seconds")
-	mMethodBuildSecs   = obs.Default().Histogram("assess_method_build_seconds")
-	mMeasureSecs       = obs.Default().Histogram("assess_measure_seconds")
-	mRecommendSecs     = obs.Default().Histogram("advisor_recommend_seconds")
-	mRecommendCalls    = obs.Default().Counter("advisor_recommend_total")
-	mPairsMeasured     = obs.Default().Counter("assess_pairs_total")
-	mPairsNonSargable  = obs.Default().Counter("assess_pairs_nonsargable_total")
-	mAssessedWorkloads = obs.Default().Counter("assess_workloads_total")
+	mRecommendSecs    = obs.Default().Histogram("advisor_recommend_seconds")
+	mRecommendCalls   = obs.Default().Counter("advisor_recommend_total")
+	mPairsMeasured    = obs.Default().Counter("assess_pairs_total")
+	mPairsNonSargable = obs.Default().Counter("assess_pairs_nonsargable_total")
 )
 
 // Params scales every experiment: the defaults used by tests and
@@ -155,7 +151,6 @@ type Suite struct {
 
 // NewSuite builds a suite over a schema.
 func NewSuite(name string, s *schema.Schema, p Params, seed int64) (*Suite, error) {
-	defer obs.StartSpan(mSuiteBuildSecs).End()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -257,14 +252,12 @@ func (s *Suite) BuildAdvisorCtx(ctx context.Context, spec AdvisorSpec) (adv advi
 		v.Episodes = s.P.AdvisorEpisodes
 	}
 	if tr, ok := a.(advisor.Trainable); ok {
-		sp := obs.StartSpan(mAdvisorTrainSecs)
 		var err error
 		if ctr, ok := a.(advisor.CtxTrainable); ok {
 			err = ctr.TrainCtx(ctx, s.E, s.Train, s.ConstraintFor(spec))
 		} else {
 			err = tr.Train(s.E, s.Train, s.ConstraintFor(spec))
 		}
-		sp.End()
 		if err != nil {
 			return nil, err
 		}

@@ -7,35 +7,9 @@ import (
 	"github.com/trap-repro/trap/internal/obs"
 )
 
-// Rollout-phase metrics: one histogram observation per trajectory
-// (decode + reward), a completed-rollout counter, and the nn arena's
-// reuse counters surfaced as gauges.
-var (
-	mRolloutSecs = obs.Default().Histogram("trap_rl_rollout_seconds")
-	mRollouts    = obs.Default().Counter("trap_rl_rollouts_total")
-)
-
-func init() {
-	obs.Default().GaugeFunc("trap_nn_arena_hits_total", func() float64 {
-		h, _ := nn.ArenaStats()
-		return float64(h)
-	})
-	obs.Default().GaugeFunc("trap_nn_arena_misses_total", func() float64 {
-		_, m := nn.ArenaStats()
-		return float64(m)
-	})
-	obs.Default().GaugeFunc("trap_nn_arena_retained_bytes", func() float64 {
-		return float64(nn.ArenaRetainedBytes())
-	})
-	obs.Default().GaugeFunc("trap_nn_gemm_calls_total", func() float64 {
-		c, _ := nn.GEMMStats()
-		return float64(c)
-	})
-	obs.Default().GaugeFunc("trap_nn_gemm_flops_total", func() float64 {
-		_, f := nn.GEMMStats()
-		return float64(f)
-	})
-}
+// mRollouts counts completed rollouts (decode and reward both
+// succeeded).
+var mRollouts = obs.Default().Counter("trap_rl_rollouts_total")
 
 // rollout is one sampled trajectory's contribution, produced by a worker
 // and consumed by the in-order reduce.

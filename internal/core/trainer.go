@@ -12,23 +12,12 @@ import (
 	"github.com/trap-repro/trap/internal/engine"
 	"github.com/trap-repro/trap/internal/faultinject"
 	"github.com/trap-repro/trap/internal/nn"
-	"github.com/trap-repro/trap/internal/obs"
 	"github.com/trap-repro/trap/internal/par"
 	"github.com/trap-repro/trap/internal/schema"
 	"github.com/trap-repro/trap/internal/sqlx"
 	"github.com/trap-repro/trap/internal/telemetry"
 	"github.com/trap-repro/trap/internal/trace"
 	"github.com/trap-repro/trap/internal/workload"
-)
-
-// Generator-training metrics, aggregated across frameworks.
-var (
-	mPretrainEpochs     = obs.Default().Counter("trap_pretrain_epochs_total")
-	mPretrainEpochSecs  = obs.Default().Histogram("trap_pretrain_epoch_seconds")
-	mRLEpochs           = obs.Default().Counter("trap_rl_epochs_total")
-	mRLEpochSecs        = obs.Default().Histogram("trap_rl_epoch_seconds")
-	mRLLastReward       = obs.Default().Gauge("trap_rl_last_mean_reward")
-	mGeneratedWorkloads = obs.Default().Counter("trap_generated_workloads_total")
 )
 
 // Framework ties a generation model to a perturbation constraint, an edit
@@ -222,7 +211,6 @@ func (f *Framework) Pretrain(ctx context.Context, gen *workload.Generator, pairs
 		}
 		_, esp := trace.Start(ctx, "pretrain.epoch")
 		esp.Int("epoch", int64(ep))
-		sp := obs.StartSpan(mPretrainEpochSecs)
 		total, steps, err := epoch()
 		if err != nil {
 			esp.Fail(err)
@@ -236,9 +224,7 @@ func (f *Framework) Pretrain(ctx context.Context, gen *workload.Generator, pairs
 			esp.Int("steps", int64(steps))
 			telemetry.FromContext(ctx).Series("pretrain_loss").Append(int64(ep+1), mean)
 		}
-		sp.End()
 		esp.End()
-		mPretrainEpochs.Inc()
 	}
 	// Encoder-only transfer: refresh the decoder for RL exploration.
 	f.mu.Lock()
@@ -445,8 +431,6 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 		bsp.Int("workload", int64(wi))
 		bsp.Int("batch", int64(batch))
 		rerr := par.ForEach(ctx, workers, batch, func(b int) error {
-			sp := obs.StartSpan(mRolloutSecs)
-			defer sp.End()
 			if err := faultinject.Fire(f.Inject, faultinject.PointRollout); err != nil {
 				return err
 			}
@@ -552,7 +536,6 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 		}
 		ectx, esp := trace.Start(ctx, "rl.epoch")
 		esp.Int("epoch", int64(ep))
-		sp := obs.StartSpan(mRLEpochSecs)
 		f.mu.Lock()
 		f.rng = rand.New(rand.NewSource(f.epochSeed(ep)))
 		f.mu.Unlock()
@@ -583,7 +566,6 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 		} else {
 			rewards = append(rewards, 0)
 		}
-		mRLLastReward.Set(rewards[len(rewards)-1])
 		esp.Float("mean_reward", rewards[len(rewards)-1])
 		if tele != nil {
 			// Steps are 1-based epoch numbers, so a checkpoint-resumed run
@@ -612,9 +594,7 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 			}
 			tstats = epStats{}
 		}
-		sp.End()
 		esp.End()
-		mRLEpochs.Inc()
 		if f.EpochHook != nil {
 			if err := f.EpochHook(ep); err != nil {
 				return rewards, err
@@ -653,7 +633,6 @@ func (f *Framework) LoadModel(r io.Reader) error {
 // consume the shared RNG, so Generate may run concurrently with training
 // without perturbing it.
 func (f *Framework) Generate(ctx context.Context, w *workload.Workload) (*workload.Workload, error) {
-	mGeneratedWorkloads.Inc()
 	if err := faultinject.Fire(f.Inject, faultinject.PointGenerate); err != nil {
 		return nil, err
 	}
@@ -674,7 +653,6 @@ func (f *Framework) generateGraph() *nn.Graph {
 // GenerateSampled produces a randomized perturbation (used by the Random
 // baseline's repeated attempts).
 func (f *Framework) GenerateSampled(ctx context.Context, w *workload.Workload) (*workload.Workload, error) {
-	mGeneratedWorkloads.Inc()
 	if err := faultinject.Fire(f.Inject, faultinject.PointGenerate); err != nil {
 		return nil, err
 	}
@@ -689,7 +667,6 @@ func (f *Framework) GenerateSampled(ctx context.Context, w *workload.Workload) (
 // parallel assessment cells use it so measurement stays deterministic
 // regardless of cell execution order.
 func (f *Framework) GenerateSeeded(ctx context.Context, w *workload.Workload, salt int64) (*workload.Workload, error) {
-	mGeneratedWorkloads.Inc()
 	if err := faultinject.Fire(f.Inject, faultinject.PointGenerate); err != nil {
 		return nil, err
 	}

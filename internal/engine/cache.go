@@ -3,14 +3,7 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
-
-	"github.com/trap-repro/trap/internal/obs"
 )
-
-// mSingleflightDedup counts plan builds that were deduplicated: callers
-// that missed on a key another goroutine was already planning and waited
-// for its result instead of planning again.
-var mSingleflightDedup = obs.Default().Counter("engine_plan_singleflight_dedup_total")
 
 // cacheShards is the number of independent plan-cache shards. Keys are
 // spread by FNV-1a hash, so the goroutines sharing one engine (trapd
@@ -153,7 +146,6 @@ func (s *cacheShard) lookup(hash uint64, key []byte) (*PlanNode, bool) {
 		return nil, false
 	}
 	s.hits.Add(1)
-	mCacheHits.Inc()
 	return e.p, true
 }
 
@@ -169,7 +161,6 @@ func (s *cacheShard) do(hash uint64, key []byte, limit int, fn func() (*PlanNode
 	if e, ok := s.m[hash]; ok && e.key == string(key) {
 		s.mu.Unlock()
 		s.hits.Add(1)
-		mCacheHits.Inc()
 		return e.p, nil
 	}
 	if f, ok := s.flight[hash]; ok {
@@ -177,8 +168,6 @@ func (s *cacheShard) do(hash uint64, key []byte, limit int, fn func() (*PlanNode
 			s.mu.Unlock()
 			s.misses.Add(1)
 			s.dedup.Add(1)
-			mCacheMisses.Inc()
-			mSingleflightDedup.Inc()
 			f.wg.Wait()
 			return f.p, f.err
 		}
@@ -187,7 +176,6 @@ func (s *cacheShard) do(hash uint64, key []byte, limit int, fn func() (*PlanNode
 		// insert below simply overwrites the colliding slot.
 		s.mu.Unlock()
 		s.misses.Add(1)
-		mCacheMisses.Inc()
 		p, err := fn()
 		if err == nil {
 			s.mu.Lock()
@@ -203,7 +191,6 @@ func (s *cacheShard) do(hash uint64, key []byte, limit int, fn func() (*PlanNode
 	s.mu.Unlock()
 
 	s.misses.Add(1)
-	mCacheMisses.Inc()
 	p, err := fn()
 	f.p, f.err = p, err
 
@@ -242,5 +229,4 @@ func (s *cacheShard) evictLocked(limit int) {
 		n++
 	}
 	s.evicted.Add(n)
-	mCacheEvicted.Add(int64(n))
 }

@@ -14,17 +14,13 @@ import (
 )
 
 // Process-wide engine metrics, aggregated across all Engine instances
-// (per-instance numbers are available from Engine.CacheStats).
+// (each engine's plan-cache hits, misses, evictions and singleflight
+// joins are in its CacheStats).
 var (
-	mWhatIfCalls  = obs.Default().Counter("engine_whatif_calls_total")
-	mTrueCalls    = obs.Default().Counter("engine_truecost_calls_total")
-	mCacheHits    = obs.Default().Counter("engine_plan_cache_hits_total")
-	mCacheMisses  = obs.Default().Counter("engine_plan_cache_misses_total")
-	mCacheEvicted = obs.Default().Counter("engine_plan_cache_evicted_total")
-	mPlanSeconds  = obs.Default().Histogram("engine_plan_seconds")
-	mBatchSecs    = obs.Default().Histogram("engine_cost_batch_seconds")
-	mBatchQueries = obs.Default().Counter("engine_cost_batch_queries_total")
-	mBatches      = obs.Default().Counter("engine_cost_batches_total")
+	mWhatIfCalls = obs.Default().Counter("engine_whatif_calls_total")
+	mTrueCalls   = obs.Default().Counter("engine_truecost_calls_total")
+	mPlanSeconds = obs.Default().Histogram("engine_plan_seconds")
+	mBatchSecs   = obs.Default().Histogram("engine_cost_batch_seconds")
 )
 
 // defaultCacheLimit bounds the plan cache; beyond it a fraction of the
@@ -283,12 +279,10 @@ type CostItem struct {
 // assessment stops what-if costing at the next query boundary instead
 // of draining the whole batch.
 func (e *Engine) CostBatch(ctx context.Context, items []CostItem, cfg schema.Config, mode Mode) (float64, error) {
-	ctx, tsp, finish := e.batchSpan(ctx, "engine.cost_batch", len(items))
+	ctx, finish := e.batchSpan(ctx, "engine.cost_batch", len(items))
 	sp := obs.StartSpan(mBatchSecs)
-	mBatches.Inc()
-	mBatchQueries.Add(int64(len(items)))
 	total, err := e.weightedBatch(ctx, items, cfg, mode, false)
-	sp.EndExemplar(tsp.TraceID())
+	sp.End()
 	finish(err)
 	return total, err
 }
@@ -297,16 +291,16 @@ func (e *Engine) CostBatch(ctx context.Context, items []CostItem, cfg schema.Con
 // with the batch size attribute, and returns a finish function that
 // stamps the span with the shard-cache and singleflight deltas the
 // batch caused before ending it. On an un-traced context everything is
-// a no-op (tsp is nil and finish does nothing), so the hot path pays no
-// stats snapshots and no allocations.
-func (e *Engine) batchSpan(ctx context.Context, name string, items int) (context.Context, *trace.Span, func(error)) {
+// a no-op (no span is opened and finish does nothing), so the hot path
+// pays no stats snapshots and no allocations.
+func (e *Engine) batchSpan(ctx context.Context, name string, items int) (context.Context, func(error)) {
 	ctx, tsp := trace.Start(ctx, name)
 	if tsp == nil {
-		return ctx, nil, func(error) {}
+		return ctx, func(error) {}
 	}
 	tsp.Int("items", int64(items))
 	before := e.cache.stats()
-	return ctx, tsp, func(err error) {
+	return ctx, func(err error) {
 		after := e.cache.stats()
 		tsp.Int("cache_hits", int64(after.Hits-before.Hits))
 		tsp.Int("cache_misses", int64(after.Misses-before.Misses))
@@ -336,12 +330,10 @@ func (e *Engine) runtimeCost(kb *keyBuf, q *sqlx.Query, cfg schema.Config) (floa
 // runtime cost of the batch, with the same in-order summation and
 // cancellation behavior.
 func (e *Engine) RuntimeBatch(ctx context.Context, items []CostItem, cfg schema.Config) (float64, error) {
-	ctx, tsp, finish := e.batchSpan(ctx, "engine.runtime_batch", len(items))
+	ctx, finish := e.batchSpan(ctx, "engine.runtime_batch", len(items))
 	sp := obs.StartSpan(mBatchSecs)
-	mBatches.Inc()
-	mBatchQueries.Add(int64(len(items)))
 	total, err := e.weightedBatch(ctx, items, cfg, ModeTrue, true)
-	sp.EndExemplar(tsp.TraceID())
+	sp.End()
 	finish(err)
 	return total, err
 }

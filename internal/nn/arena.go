@@ -1,28 +1,5 @@
 package nn
 
-import "sync/atomic"
-
-// Arena counters, aggregated across every graph (exposed as gauges by
-// internal/core so /metrics shows steady-state reuse and the retained
-// footprint).
-var (
-	arenaHits     atomic.Int64
-	arenaMisses   atomic.Int64
-	arenaRetained atomic.Int64 // bytes currently held by arena blocks
-)
-
-// ArenaStats reports how many arena grabs were served from an already
-// retained block (hits) versus grabs that had to grow the arena with a
-// fresh heap block (misses), summed over all graphs since process start.
-func ArenaStats() (hits, misses int64) {
-	return arenaHits.Load(), arenaMisses.Load()
-}
-
-// ArenaRetainedBytes reports the total heap currently pinned by arena
-// blocks across all live graphs — the gauge the Reset trim policy keeps
-// bounded near each graph's recent working set.
-func ArenaRetainedBytes() int64 { return arenaRetained.Load() }
-
 const (
 	// arenaMinBlock/arenaMaxBlock bound the geometric block growth
 	// (floats, i.e. 32KB to 1MB).
@@ -69,7 +46,6 @@ func (a *arena) takeRaw(n int) []float64 {
 			s := b[a.off : a.off+n : a.off+n]
 			a.off += n
 			a.used += n
-			arenaHits.Add(1)
 			return s
 		}
 		// Current block can't fit this grab: move to the next, leaving the
@@ -89,8 +65,6 @@ func (a *arena) takeRaw(n int) []float64 {
 		sz = n
 	}
 	a.blocks = append(a.blocks, make([]float64, sz))
-	arenaRetained.Add(int64(sz) * 8)
-	arenaMisses.Add(1)
 	a.bi = len(a.blocks) - 1
 	s := a.blocks[a.bi][0:n:n]
 	a.off = n
@@ -128,9 +102,6 @@ func (a *arena) reset() {
 		// working set; the prefix rule alone would pin it forever. Drop
 		// everything and let the arena regrow at normal granularity.
 		cut = 0
-	}
-	for _, b := range a.blocks[cut:] {
-		arenaRetained.Add(-int64(len(b)) * 8)
 	}
 	a.blocks = a.blocks[:cut:cut]
 	a.peak = 0

@@ -36,21 +36,6 @@ func TestArenaReuseAfterReset(t *testing.T) {
 	}
 }
 
-func TestArenaStatsAdvance(t *testing.T) {
-	h0, m0 := ArenaStats()
-	g := NewGraph(false)
-	g.Alloc(2, 2)
-	g.Reset()
-	g.Alloc(2, 2)
-	h1, m1 := ArenaStats()
-	if m1-m0 < 1 {
-		t.Fatalf("expected at least one arena miss, got %d", m1-m0)
-	}
-	if h1-h0 < 1 {
-		t.Fatalf("expected at least one arena hit, got %d", h1-h0)
-	}
-}
-
 // trainOnce runs a small GRU + attention training loop. When reuse is
 // true a single graph is Reset between steps (arena path); otherwise a
 // fresh graph is built per step (the pre-arena behavior). Both must

@@ -1,7 +1,5 @@
 package nn
 
-import "sync/atomic"
-
 // Deterministic blocked matrix kernels. Every op in this file follows
 // one accumulation contract: each output (or gradient) element is a
 // single sum evaluated with its reduction index strictly ascending.
@@ -12,27 +10,11 @@ import "sync/atomic"
 // identical no matter how work is distributed across rollout workers.
 // gemm_test.go pins that contract with table and fuzz tests.
 
-// Kernel throughput counters: one atomic add per kernel call (never per
-// element), so the cost is noise against the O(m·k·n) arithmetic they
-// meter. Surfaced as trap_nn_gemm_* gauges next to the arena stats.
-var (
-	gemmCalls atomic.Int64
-	gemmFlops atomic.Int64 // multiply-add volume, 2·m·k·n per GEMM
-)
-
-// GEMMStats reports the cumulative kernel invocation count and
-// floating-point operation volume of the matrix kernels.
-func GEMMStats() (calls, flops int64) {
-	return gemmCalls.Load(), gemmFlops.Load()
-}
-
 // mulTo computes out = a·b (row-major, shapes already validated).
 // Register blocking: four rows of a share each streamed row of b, which
 // quarters the b traffic without reordering any element's k-ascending
 // accumulation.
 func mulTo(out, a, b []float64, m, k, n int) {
-	gemmCalls.Add(1)
-	gemmFlops.Add(2 * int64(m) * int64(k) * int64(n))
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		r0 := out[(i+0)*n : (i+1)*n]
@@ -76,8 +58,6 @@ func mulTo(out, a, b []float64, m, k, n int) {
 // four rows: each x[p] load feeds four independent accumulators, so the
 // four chains overlap instead of one add chain waiting on the last.
 func matvecTo(out, a, x []float64, m, k int) {
-	gemmCalls.Add(1)
-	gemmFlops.Add(2 * int64(m) * int64(k))
 	x = x[:k]
 	i := 0
 	for ; i+4 <= m; i += 4 {

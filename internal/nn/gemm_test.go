@@ -205,19 +205,26 @@ func TestGEMMBitIdenticalAcrossWorkers(t *testing.T) {
 
 // TestArenaTrimReleasesOneOffPeak pins satellite behavior: a single
 // outsized batch must not pin its high-water memory once steady-state
-// cycles resume — within two trim windows the retained gauge falls back
+// cycles resume — within two trim windows the graph's arena falls back
 // below the spike.
 func TestArenaTrimReleasesOneOffPeak(t *testing.T) {
 	g := NewGraph(false)
+	retained := func() int {
+		n := 0
+		for _, b := range g.ar.blocks {
+			n += 8 * len(b)
+		}
+		return n
+	}
 	const big = 1 << 20 // 8 MiB of float64
 	g.floats(big)
 	g.Reset()
-	spike := ArenaRetainedBytes()
+	spike := retained()
 	for i := 0; i < 2*arenaTrimWindow+1; i++ {
 		g.floats(64)
 		g.Reset()
 	}
-	after := ArenaRetainedBytes()
+	after := retained()
 	if after > spike-big*8/2 {
 		t.Fatalf("arena retained %d bytes after trim window; spike was %d — one-off batch still pinned", after, spike)
 	}

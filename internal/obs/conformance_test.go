@@ -1,40 +1,29 @@
 package obs
 
-// Exposition-conformance tests: the details Prometheus and OpenMetrics
-// scrapers are strict about — label-value escaping, HELP-before-TYPE
-// header ordering, exemplar syntax — plus the registry's cardinality
-// cap, which is what keeps a label-interpolation bug from growing the
-// exposition without bound.
+// Exposition-conformance tests: the details Prometheus scrapers are
+// strict about — label-value escaping and HELP-before-TYPE header
+// ordering.
 
 import (
-	"fmt"
-	"regexp"
 	"strings"
 	"testing"
 )
 
 func TestLabelValueEscaping(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram(`evil_seconds{path="a\b"}`)
-	h.ObserveExemplar(0.5, "trace\"with\\quotes\nand newline")
-	var b strings.Builder
-	if err := r.WriteProm(&b, true); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	// The exemplar's trace_id must have its quote, backslash and newline
-	// escaped — a raw one would break line-oriented parsers.
-	if !strings.Contains(out, `trace_id="trace\"with\\quotes\nand newline"`) {
-		t.Fatalf("exemplar label value not escaped:\n%s", out)
-	}
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Count(line, "\n") > 0 {
-			t.Fatalf("embedded newline survived escaping: %q", line)
-		}
-	}
-	// withLabel must escape spliced values the same way.
+	// withLabel must escape a spliced value's quote, backslash and
+	// newline: a raw one would break line-oriented parsers.
 	if got := withLabel("m", "k", `a"b\c`+"\nd"); got != `m{k="a\"b\\c\nd"}` {
 		t.Fatalf("withLabel escaping: %s", got)
+	}
+	// A labeled histogram's buckets splice le into its existing labels.
+	r := NewRegistry()
+	r.Histogram(`span_seconds{span="rl.epoch"}`).Observe(0.5)
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := `span_seconds_bucket{span="rl.epoch",le="+Inf"} 1`; !strings.Contains(b.String(), want+"\n") {
+		t.Fatalf("exposition missing %q:\n%s", want, b.String())
 	}
 }
 
@@ -43,7 +32,7 @@ func TestHelpEscaping(t *testing.T) {
 	r.Counter("x_total").Inc()
 	r.Describe("x_total", "line one\nline two \\ backslash")
 	var b strings.Builder
-	if err := r.WriteProm(&b, false); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := `# HELP x_total line one\nline two \\ backslash`
@@ -61,7 +50,7 @@ func TestHelpTypeOrdering(t *testing.T) {
 	r.Histogram("c_seconds").Observe(0.25)
 	r.Describe("c_seconds", "a histogram")
 	var b strings.Builder
-	if err := r.WriteProm(&b, false); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
@@ -99,92 +88,5 @@ func TestHelpTypeOrdering(t *testing.T) {
 		if !seenType[fam] && !seenType[strings.Fields(l)[0]] {
 			t.Fatalf("sample %q before its TYPE header:\n%s", l, b.String())
 		}
-	}
-}
-
-// exemplarLine is the OpenMetrics exemplar grammar as this exposition
-// emits it: sample, then " # ", a labelset, the exemplar value and a
-// timestamp.
-var exemplarLine = regexp.MustCompile(
-	`^[a-zA-Z_:][a-zA-Z0-9_:]*_bucket\{[^}]*le="[^"]+"\} \d+ # \{trace_id="[^"]*"\} [0-9.eE+-]+ \d+\.\d{3}$`)
-
-func TestExemplarSyntaxConformance(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("op_seconds")
-	h.ObserveExemplar(0.125, "abc123")
-	h.ObserveExemplar(2.5, "def456")
-	var b strings.Builder
-	if err := r.WriteProm(&b, true); err != nil {
-		t.Fatal(err)
-	}
-	found := 0
-	for _, l := range strings.Split(b.String(), "\n") {
-		if strings.Contains(l, " # {") {
-			if !exemplarLine.MatchString(l) {
-				t.Fatalf("malformed exemplar line: %q", l)
-			}
-			found++
-		}
-	}
-	if found != 2 {
-		t.Fatalf("found %d exemplar lines, want 2", found)
-	}
-	if !strings.HasSuffix(b.String(), "# EOF\n") {
-		t.Fatal("OpenMetrics output missing # EOF terminator")
-	}
-	// Exemplars are illegal outside OpenMetrics: the plain text format
-	// must not carry them.
-	var plain strings.Builder
-	if err := r.WriteProm(&plain, false); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plain.String(), " # {") {
-		t.Fatal("exemplar emitted in non-OpenMetrics exposition")
-	}
-}
-
-func TestRegistryCardinalityCap(t *testing.T) {
-	r := NewRegistry()
-	r.SetLimit(8)
-	for i := 0; i < 8; i++ {
-		r.Counter(fmt.Sprintf("ok_%d_total", i)).Inc()
-	}
-	// Unbounded label growth past the cap: creations must be refused.
-	for i := 0; i < 100; i++ {
-		c := r.Counter(fmt.Sprintf(`runaway_total{user="u%d"}`, i))
-		c.Inc() // detached but still usable: callers never see a nil
-	}
-	r.Gauge("late_gauge").Set(1)
-	r.Histogram("late_seconds").Observe(1)
-	r.GaugeFunc("late_fn", func() float64 { return 1 })
-	if got := r.Dropped(); got != 103 {
-		t.Fatalf("dropped = %d, want 103", got)
-	}
-	var b strings.Builder
-	if err := r.WriteProm(&b, false); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if strings.Contains(out, "runaway_total") || strings.Contains(out, "late_") {
-		t.Fatalf("capped series leaked into the exposition:\n%s", out)
-	}
-	if !strings.Contains(out, "obs_registry_dropped_total 103") {
-		t.Fatalf("exposition does not report the drop counter:\n%s", out)
-	}
-	// Pre-existing series keep working and re-lookups do not double-count.
-	if r.Counter("ok_0_total") == nil {
-		t.Fatal("existing counter lost")
-	}
-	if got := r.Dropped(); got != 103 {
-		t.Fatalf("re-lookup of existing counter dropped: %d", got)
-	}
-	// An existing GaugeFunc may still be replaced at the cap (replacement
-	// adds no cardinality).
-	r.SetLimit(r.size())
-	r.GaugeFunc("late_fn2", func() float64 { return 2 }) // refused
-	before := r.Dropped()
-	r.GaugeFunc("ok_fn", func() float64 { return 1 }) // refused too (at cap)
-	if r.Dropped() != before+1 {
-		t.Fatalf("gauge func creation at cap not counted")
 	}
 }

@@ -1,15 +1,15 @@
 // Package obs is a stdlib-only observability layer for the TRAP system:
 // atomic counters and gauges, streaming histograms with quantile
 // estimates, callback gauges for cheaply-derived values (cache sizes, hit
-// ratios), and a process-wide registry with the Prometheus and
-// OpenMetrics text expositions (prom.go) served by trapd's GET /metrics.
+// ratios), and a process-wide registry with the Prometheus text
+// exposition (prom.go) served by trapd's GET /metrics.
 //
 // Metrics are get-or-create by name, so hot paths keep a package-level
 // pointer and pay one atomic op per event:
 //
-//	var hits = obs.Default().Counter("engine_plan_cache_hits_total")
+//	var calls = obs.Default().Counter("engine_whatif_calls_total")
 //	...
-//	hits.Inc()
+//	calls.Inc()
 //
 // Durations are recorded through Span:
 //
@@ -80,25 +80,13 @@ const (
 // quantile estimation. Zero and negative observations land in a dedicated
 // underflow bucket; values beyond the top bucket are clamped into it. The
 // exact min, max, sum and count are tracked alongside the buckets.
-//
-// Observations recorded with ObserveExemplar additionally pin an
-// exemplar — typically a trace ID — on the bucket they land in, so the
-// exposition can link a slow bucket back to the request that filled it.
 type Histogram struct {
-	mu        sync.Mutex
-	count     int64
-	sum       float64
-	min, max  float64
-	under     int64 // v <= 0 or below the smallest bucket
-	buckets   [histBuckets]int64
-	exemplars map[int]Exemplar // lazily allocated, keyed by bucket index
-}
-
-// Exemplar ties one observation to the trace that produced it.
-type Exemplar struct {
-	Value   float64
-	TraceID string
-	Time    time.Time
+	mu       sync.Mutex
+	count    int64
+	sum      float64
+	min, max float64
+	under    int64 // v <= 0 or below the smallest bucket
+	buckets  [histBuckets]int64
 }
 
 // bucketIndex maps a positive value to its bucket, or -1 for underflow.
@@ -146,38 +134,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// ObserveExemplar records a value and, when traceID is non-empty, pins
-// it as the exemplar of the bucket it lands in (the last exemplar per
-// bucket wins). An empty traceID is a plain Observe.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
-	if traceID == "" || v <= 0 {
-		return
-	}
-	i := bucketIndex(v)
-	if i < 0 {
-		return
-	}
-	h.mu.Lock()
-	if h.exemplars == nil {
-		h.exemplars = map[int]Exemplar{}
-	}
-	h.exemplars[i] = Exemplar{Value: v, TraceID: traceID, Time: time.Now()}
-	h.mu.Unlock()
-}
-
-// Exemplars snapshots the histogram's per-bucket exemplars, keyed by
-// bucket index.
-func (h *Histogram) Exemplars() map[int]Exemplar {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[int]Exemplar, len(h.exemplars))
-	for i, e := range h.exemplars {
-		out[i] = e
-	}
-	return out
-}
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
@@ -251,24 +207,10 @@ func (s Span) End() time.Duration {
 	return d
 }
 
-// EndExemplar is End with an exemplar: when traceID is non-empty the
-// observation's bucket is linked back to that trace in the exposition.
-func (s Span) EndExemplar(traceID string) time.Duration {
-	d := time.Since(s.start)
-	if s.h != nil {
-		s.h.ObserveExemplar(d.Seconds(), traceID)
-	}
-	return d
-}
-
 // Registry is a named collection of metrics. Metrics are created on
-// first use and live for the life of the registry.
-//
-// A registry enforces a hard cardinality cap: once limit distinct
-// series exist, further creations return a detached (never-exposed)
-// metric and the Dropped counter grows, so a bug that interpolates
-// unbounded label values into metric names degrades to dropped series
-// instead of unbounded registry memory and exposition size.
+// first use and live for the life of the registry. Every name comes
+// from a fixed set — names written in code, route patterns, configured
+// datasets, span names — so the registry needs no cardinality cap.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
@@ -276,16 +218,9 @@ type Registry struct {
 	gaugeFuncs map[string]func() float64
 	hists      map[string]*Histogram
 	help       map[string]string
-	limit      int
-	dropped    atomic.Int64
 }
 
-// DefaultMetricLimit is the registry cardinality cap when SetLimit was
-// never called: far above legitimate use (the whole system registers a
-// few dozen families), low enough to stop unbounded label growth.
-const DefaultMetricLimit = 4096
-
-// NewRegistry builds an empty registry with the default cardinality cap.
+// NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
@@ -293,38 +228,7 @@ func NewRegistry() *Registry {
 		gaugeFuncs: map[string]func() float64{},
 		hists:      map[string]*Histogram{},
 		help:       map[string]string{},
-		limit:      DefaultMetricLimit,
 	}
-}
-
-// SetLimit replaces the cardinality cap (n <= 0 restores the default).
-// Existing metrics are never evicted; the cap gates creation only.
-func (r *Registry) SetLimit(n int) {
-	if n <= 0 {
-		n = DefaultMetricLimit
-	}
-	r.mu.Lock()
-	r.limit = n
-	r.mu.Unlock()
-}
-
-// Dropped reports how many metric creations the cardinality cap
-// refused.
-func (r *Registry) Dropped() int64 { return r.dropped.Load() }
-
-// size counts every registered series. Caller holds r.mu.
-func (r *Registry) size() int {
-	return len(r.counters) + len(r.gauges) + len(r.gaugeFuncs) + len(r.hists)
-}
-
-// full reports (and tallies) a creation refused by the cardinality cap.
-// Caller holds r.mu for writing.
-func (r *Registry) full() bool {
-	if r.size() < r.limit {
-		return false
-	}
-	r.dropped.Add(1)
-	return true
 }
 
 // Describe attaches a # HELP string to a metric family for the
@@ -354,9 +258,7 @@ func (r *Registry) Counter(name string) *Counter {
 		return c
 	}
 	c = &Counter{}
-	if !r.full() {
-		r.counters[name] = c
-	}
+	r.counters[name] = c
 	return c
 }
 
@@ -374,9 +276,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 		return g
 	}
 	g = &Gauge{}
-	if !r.full() {
-		r.gauges[name] = g
-	}
+	r.gauges[name] = g
 	return g
 }
 
@@ -385,9 +285,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // The callback must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.mu.Lock()
-	if _, ok := r.gaugeFuncs[name]; ok || !r.full() {
-		r.gaugeFuncs[name] = fn
-	}
+	r.gaugeFuncs[name] = fn
 	r.mu.Unlock()
 }
 
@@ -405,17 +303,16 @@ func (r *Registry) Histogram(name string) *Histogram {
 		return h
 	}
 	h = &Histogram{}
-	if !r.full() {
-		r.hists[name] = h
-	}
+	r.hists[name] = h
 	return h
 }
 
 // Values dumps every metric as a flat name → value map: counters and
-// gauges directly, histograms as _count/_sum/_p99 triples.
+// gauges directly, histograms as _count/_sum/_p99 triples (the suffix
+// goes ahead of any labels, as in the exposition).
 func (r *Registry) Values() map[string]float64 {
 	r.mu.RLock()
-	out := make(map[string]float64, r.size())
+	out := make(map[string]float64, len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.hists))
 	for n, c := range r.counters {
 		out[n] = float64(c.Value())
 	}
@@ -440,9 +337,9 @@ func (r *Registry) Values() map[string]float64 {
 		out[n] = fn()
 	}
 	for _, he := range hists {
-		out[he.name+"_count"] = float64(he.h.Count())
-		out[he.name+"_sum"] = he.h.Sum()
-		out[he.name+"_p99"] = he.h.Quantile(0.99)
+		out[suffixed(he.name, "_count")] = float64(he.h.Count())
+		out[suffixed(he.name, "_sum")] = he.h.Sum()
+		out[suffixed(he.name, "_p99")] = he.h.Quantile(0.99)
 	}
 	return out
 }

@@ -9,49 +9,35 @@ import (
 )
 
 // Prometheus-compatible exposition: # HELP/# TYPE headers per metric
-// family, cumulative _bucket/_sum/_count series for histograms, and
-// (in OpenMetrics mode) exemplars linking slow buckets back to the
-// trace that populated them.
-//
-// The exposition content types, matched to the formats WriteProm emits.
-const (
-	// ContentTypeProm is the text exposition format v0.0.4 content type.
-	ContentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
-	// ContentTypeOpenMetrics is the OpenMetrics content type (exemplars
-	// are only legal in this format).
-	ContentTypeOpenMetrics = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-)
+// family and cumulative _bucket/_sum/_count series for histograms.
+
+// ContentTypeProm is the text exposition format v0.0.4 content type.
+const ContentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
 
 // promBucket is one emitted histogram boundary.
 type promBucket struct {
 	le  float64 // upper bound (inclusive), +Inf for the last
 	cum int64   // cumulative count of observations <= le
-	ex  Exemplar
 }
 
 // promSnapshot condenses the 8-per-pow2 internal buckets to
 // power-of-two exposition boundaries under one lock hold: boundaries
 // whose bucket is empty are skipped (the cumulative counts stay exact
-// and monotone), and each emitted boundary carries the freshest
-// exemplar of the internal buckets it covers.
+// and monotone).
 func (h *Histogram) promSnapshot() (bs []promBucket, count int64, sum float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cum := h.under
 	for p := 0; p < histMaxPow2-histMinPow2; p++ {
 		var n int64
-		var ex Exemplar
 		for i := p * histBucketsPerPow2; i < (p+1)*histBucketsPerPow2; i++ {
 			n += h.buckets[i]
-			if e, ok := h.exemplars[i]; ok && (ex.TraceID == "" || e.Time.After(ex.Time)) {
-				ex = e
-			}
 		}
 		cum += n
 		if n == 0 {
 			continue
 		}
-		bs = append(bs, promBucket{le: math.Exp2(float64(p + 1 + histMinPow2)), cum: cum, ex: ex})
+		bs = append(bs, promBucket{le: math.Exp2(float64(p + 1 + histMinPow2)), cum: cum})
 	}
 	bs = append(bs, promBucket{le: math.Inf(1), cum: h.count})
 	return bs, h.count, h.sum
@@ -65,9 +51,16 @@ func familyName(name string) string {
 	return name
 }
 
-// labelEscaper rewrites a label value per the exposition formats:
+// suffixed appends a series suffix to a possibly-labeled name, ahead of
+// its labels: suffixed(`m{a="b"}`, `_sum`) → `m_sum{a="b"}`.
+func suffixed(name, suffix string) string {
+	fam := familyName(name)
+	return fam + suffix + name[len(fam):]
+}
+
+// labelEscaper rewrites a label value per the exposition format:
 // backslash, double-quote and newline must be escaped inside quoted
-// label values (both text format v0.0.4 and OpenMetrics).
+// label values.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // escapeLabelValue renders a raw string safe for use inside a quoted
@@ -116,10 +109,8 @@ type promFamily struct {
 // WriteProm renders the registry in the Prometheus text exposition
 // format (version 0.0.4): one # TYPE (and # HELP where described)
 // header per family, families and series sorted by name, histograms
-// expanded to cumulative _bucket/_sum/_count series. With openMetrics
-// set it emits exemplars on _bucket lines and the terminating # EOF
-// marker of the OpenMetrics format instead.
-func (r *Registry) WriteProm(w io.Writer, openMetrics bool) error {
+// expanded to cumulative _bucket/_sum/_count series.
+func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.RLock()
 	fams := map[string]*promFamily{}
 	family := func(name, typ string) *promFamily {
@@ -133,12 +124,6 @@ func (r *Registry) WriteProm(w io.Writer, openMetrics bool) error {
 	for n, c := range r.counters {
 		fam := family(familyName(n), "counter")
 		fam.lines = append(fam.lines, fmt.Sprintf("%s %d", n, c.Value()))
-	}
-	if d := r.dropped.Load(); d > 0 {
-		// Surface cap pressure in the exposition itself: a scrape that is
-		// missing series should say why.
-		fam := family("obs_registry_dropped_total", "counter")
-		fam.lines = append(fam.lines, fmt.Sprintf("obs_registry_dropped_total %d", d))
 	}
 	for n, g := range r.gauges {
 		fam := family(familyName(n), "gauge")
@@ -165,6 +150,9 @@ func (r *Registry) WriteProm(w io.Writer, openMetrics bool) error {
 	// Histograms and callback gauges are rendered outside the registry
 	// lock: snapshots take the histogram locks, callbacks may take
 	// arbitrary locks of their own (e.g. an engine's cache mutex).
+	// Histograms render in name order, so the labeled series of one
+	// family keep a fixed order.
+	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
 	for n, fn := range fns {
 		fam := family(familyName(n), "gauge")
 		fam.lines = append(fam.lines, fmt.Sprintf("%s %g", n, fn()))
@@ -173,17 +161,12 @@ func (r *Registry) WriteProm(w io.Writer, openMetrics bool) error {
 		fam := family(familyName(he.name), "histogram")
 		bs, count, sum := he.h.promSnapshot()
 		for _, b := range bs {
-			line := fmt.Sprintf("%s %d",
-				withLabel(he.name+"_bucket", "le", formatLe(b.le)), b.cum)
-			if openMetrics && b.ex.TraceID != "" {
-				line += fmt.Sprintf(" # {trace_id=\"%s\"} %g %.3f",
-					escapeLabelValue(b.ex.TraceID), b.ex.Value, float64(b.ex.Time.UnixMilli())/1000)
-			}
-			fam.lines = append(fam.lines, line)
+			fam.lines = append(fam.lines, fmt.Sprintf("%s %d",
+				withLabel(suffixed(he.name, "_bucket"), "le", formatLe(b.le)), b.cum))
 		}
 		fam.lines = append(fam.lines,
-			fmt.Sprintf("%s_sum %g", he.name, sum),
-			fmt.Sprintf("%s_count %d", he.name, count))
+			fmt.Sprintf("%s %g", suffixed(he.name, "_sum"), sum),
+			fmt.Sprintf("%s %d", suffixed(he.name, "_count"), count))
 	}
 
 	names := make([]string, 0, len(fams))
@@ -211,11 +194,6 @@ func (r *Registry) WriteProm(w io.Writer, openMetrics bool) error {
 			if _, err := fmt.Fprintln(w, l); err != nil {
 				return err
 			}
-		}
-	}
-	if openMetrics {
-		if _, err := fmt.Fprintln(w, "# EOF"); err != nil {
-			return err
 		}
 	}
 	return nil

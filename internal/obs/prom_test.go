@@ -20,12 +20,15 @@ func TestWritePromDeterministicOrdering(t *testing.T) {
 	h := r.Histogram("lat_seconds")
 	h.Observe(0.25)
 	h.Observe(4)
+	for _, span := range []string{"e", "b", "d", "a", "c"} {
+		r.Histogram(`span_seconds{span="` + span + `"}`).Observe(1)
+	}
 
 	var a, b bytes.Buffer
-	if err := r.WriteProm(&a, false); err != nil {
+	if err := r.WriteProm(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteProm(&b, false); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -43,8 +46,18 @@ func TestWritePromDeterministicOrdering(t *testing.T) {
 			t.Fatalf("families out of order: %v", fams)
 		}
 	}
-	if want := []string{"aa_total", "fn_gauge", "lat_seconds", "mid_gauge", "zz_total"}; len(fams) != len(want) {
+	if want := []string{"aa_total", "fn_gauge", "lat_seconds", "mid_gauge", "span_seconds", "zz_total"}; len(fams) != len(want) {
 		t.Fatalf("families %v, want %v", fams, want)
+	}
+	// So do the labeled series of one histogram family.
+	var spans []string
+	for _, line := range strings.Split(a.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, `span_seconds_count{span="`); ok {
+			spans = append(spans, rest[:1])
+		}
+	}
+	if got := strings.Join(spans, ""); got != "abcde" {
+		t.Fatalf("labeled histogram series in order %q, want abcde", got)
 	}
 }
 
@@ -56,7 +69,7 @@ func TestWritePromHelpAndTypes(t *testing.T) {
 	r.Histogram("lat_seconds").Observe(1)
 
 	var b bytes.Buffer
-	if err := r.WriteProm(&b, false); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -85,7 +98,7 @@ func TestWritePromBucketMonotonic(t *testing.T) {
 		h.Observe(v)
 	}
 	var b bytes.Buffer
-	if err := r.WriteProm(&b, false); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	prevLe := math.Inf(-1)
@@ -132,7 +145,7 @@ func TestWritePromLabeledSeriesShareFamily(t *testing.T) {
 	r.GaugeFunc(`cache_entries{dataset="tpch"}`, func() float64 { return 10 })
 	r.GaugeFunc(`cache_entries{dataset="tpcds"}`, func() float64 { return 20 })
 	var b bytes.Buffer
-	if err := r.WriteProm(&b, false); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -145,43 +158,8 @@ func TestWritePromLabeledSeriesShareFamily(t *testing.T) {
 	}
 }
 
-func TestExemplarExposition(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("batch_seconds")
-	h.ObserveExemplar(0.5, "deadbeefdeadbeef")
-	h.Observe(0.25)
-
-	var prom, om bytes.Buffer
-	if err := r.WriteProm(&prom, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteProm(&om, true); err != nil {
-		t.Fatal(err)
-	}
-	// Exemplars are OpenMetrics-only: the 0.0.4 format has no syntax for
-	// them and scraping would break.
-	if strings.Contains(prom.String(), "trace_id") {
-		t.Fatalf("prom format leaked exemplars:\n%s", prom.String())
-	}
-	if !strings.Contains(om.String(), `# {trace_id="deadbeefdeadbeef"} 0.5`) {
-		t.Fatalf("openmetrics missing exemplar:\n%s", om.String())
-	}
-	if !strings.HasSuffix(om.String(), "# EOF\n") {
-		t.Fatal("openmetrics missing # EOF")
-	}
-	ex := h.Exemplars()
-	if len(ex) != 1 {
-		t.Fatalf("%d exemplars", len(ex))
-	}
-	for _, e := range ex {
-		if e.TraceID != "deadbeefdeadbeef" || e.Value != 0.5 {
-			t.Fatalf("exemplar %+v", e)
-		}
-	}
-}
-
 // TestRegistryConcurrentScrape races metric get-or-create and writes
-// against continuous exposition in both formats and against Values
+// against continuous exposition and against Values
 // (-race target: registry writes racing a /metrics scrape are safe).
 func TestRegistryConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
@@ -193,12 +171,7 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 			for k := 0; k < 200; k++ {
 				r.Counter(fmt.Sprintf("c%d_total", k%17)).Inc()
 				r.Gauge(fmt.Sprintf("g%d", k%13)).Add(1)
-				h := r.Histogram(fmt.Sprintf("h%d_seconds", k%7))
-				if k%2 == 0 {
-					h.ObserveExemplar(float64(k%10)+0.1, "abc123")
-				} else {
-					h.Observe(float64(k%10) + 0.1)
-				}
+				r.Histogram(fmt.Sprintf("h%d_seconds", k%7)).Observe(float64(k%10) + 0.1)
 				r.Describe(fmt.Sprintf("c%d_total", k%17), "racing help")
 				r.GaugeFunc(fmt.Sprintf("fn%d", k%5), func() float64 { return float64(i) })
 			}
@@ -210,7 +183,7 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 50; k++ {
 				var b bytes.Buffer
-				if err := r.WriteProm(&b, i%2 == 0); err != nil {
+				if err := r.WriteProm(&b); err != nil {
 					t.Error(err)
 					return
 				}
@@ -227,7 +200,7 @@ func TestRuntimeGauges(t *testing.T) {
 	// Force a GC so the pause histogram has data.
 	runtime.GC()
 	var b bytes.Buffer
-	if err := r.WriteProm(&b, false); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -174,20 +174,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // GET /metrics
 //
-// The default exposition is the Prometheus text format (0.0.4):
-// counters/gauges as families with # TYPE headers, histograms as
-// cumulative _bucket/_sum/_count series. ?format=openmetrics upgrades
-// to OpenMetrics with exemplars linking slow histogram buckets to trace
-// IDs.
+// The exposition is the Prometheus text format (0.0.4): counters and
+// gauges as families with # TYPE headers, histograms as cumulative
+// _bucket/_sum/_count series.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Query().Get("format") {
-	case "openmetrics":
-		w.Header().Set("Content-Type", obs.ContentTypeOpenMetrics)
-		_ = s.reg.WriteProm(w, true)
-	default:
-		w.Header().Set("Content-Type", obs.ContentTypeProm)
-		_ = s.reg.WriteProm(w, false)
-	}
+	w.Header().Set("Content-Type", obs.ContentTypeProm)
+	_ = s.reg.WriteProm(w)
 }
 
 // GET /v1/traces

@@ -57,6 +57,7 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,6 +66,7 @@ import (
 	"github.com/trap-repro/trap/internal/bench"
 	"github.com/trap-repro/trap/internal/buildinfo"
 	"github.com/trap-repro/trap/internal/core"
+	"github.com/trap-repro/trap/internal/engine"
 	"github.com/trap-repro/trap/internal/faultinject"
 	"github.com/trap-repro/trap/internal/joblog"
 	"github.com/trap-repro/trap/internal/obs"
@@ -204,7 +206,9 @@ type Server struct {
 	mShedQuota    *obs.Counter
 	mShedCapacity *obs.Counter
 	mJobsRun      *obs.Gauge
-	mJobSecs      *obs.Histogram
+	// spanSecs maps a span name to its trapd_span_seconds histogram, so
+	// a span end formats no metric name.
+	spanSecs sync.Map
 }
 
 // Job-log record types. Submit and state records carry a full Job
@@ -250,7 +254,6 @@ func NewServer(cfg Config) (_ *Server, err error) {
 		mShedQuota:    cfg.Registry.Counter("trapd_shed_quota_total"),
 		mShedCapacity: cfg.Registry.Counter("trapd_shed_capacity_total"),
 		mJobsRun:      cfg.Registry.Gauge("trapd_jobs_running"),
-		mJobSecs:      cfg.Registry.Histogram("trapd_job_seconds"),
 	}
 	defer func() {
 		if err != nil {
@@ -286,14 +289,20 @@ func NewServer(cfg Config) (_ *Server, err error) {
 			"dataset", name, "elapsed", time.Since(t0).Round(time.Millisecond),
 			"train", len(suite.Train), "test", len(suite.Test))
 
-		// Per-dataset plan-cache gauges, evaluated at scrape time.
+		// Per-dataset plan-cache gauges, read from the engine's own
+		// counters at scrape time.
 		e := suite.E
-		s.reg.GaugeFunc(fmt.Sprintf("engine_plan_cache_entries{dataset=%q}", name),
-			func() float64 { return float64(e.CacheStats().Entries) })
-		s.reg.GaugeFunc(fmt.Sprintf("engine_plan_cache_hit_ratio{dataset=%q}", name),
-			func() float64 { return e.CacheStats().HitRatio() })
-		s.reg.GaugeFunc(fmt.Sprintf("engine_plan_singleflight_dedup{dataset=%q}", name),
-			func() float64 { return float64(e.CacheStats().SingleflightDedup) })
+		for metric, stat := range map[string]func(engine.CacheStats) float64{
+			"engine_plan_cache_entries":      func(c engine.CacheStats) float64 { return float64(c.Entries) },
+			"engine_plan_cache_hit_ratio":    engine.CacheStats.HitRatio,
+			"engine_plan_cache_hits":         func(c engine.CacheStats) float64 { return float64(c.Hits) },
+			"engine_plan_cache_misses":       func(c engine.CacheStats) float64 { return float64(c.Misses) },
+			"engine_plan_cache_evicted":      func(c engine.CacheStats) float64 { return float64(c.Evicted) },
+			"engine_plan_singleflight_dedup": func(c engine.CacheStats) float64 { return float64(c.SingleflightDedup) },
+		} {
+			s.reg.GaugeFunc(fmt.Sprintf("%s{dataset=%q}", metric, name),
+				func() float64 { return stat(e.CacheStats()) })
+		}
 	}
 	s.reg.GaugeFunc("trapd_jobs_pending", func() float64 {
 		return float64(s.jobs.countByStatus()[JobPending])
@@ -315,16 +324,13 @@ func NewServer(cfg Config) (_ *Server, err error) {
 		"Build provenance carried as labels; the value is always 1.")
 	obs.RegisterRuntimeGauges(s.reg)
 	for name, help := range map[string]string{
-		"trapd_jobs_submitted_total":  "Assessment jobs accepted by POST /v1/assess.",
-		"trapd_jobs_done_total":       "Assessment jobs that finished successfully.",
-		"trapd_jobs_failed_total":     "Assessment jobs that terminated with an error.",
-		"trapd_job_seconds":           "Wall time of one assessment job, submission to terminal state.",
-		"trapd_http_requests_total":   "HTTP requests served, all routes.",
-		"trapd_http_request_seconds":  "HTTP request latency.",
-		"engine_cost_batch_seconds":   "Wall time of one what-if cost batch.",
-		"assess_measure_seconds":      "Wall time of one full measurement (all cells).",
-		"trap_rl_epoch_seconds":       "Wall time of one RL training epoch.",
-		"trap_pretrain_epoch_seconds": "Wall time of one pretraining epoch.",
+		"trapd_jobs_submitted_total": "Assessment jobs accepted by POST /v1/assess.",
+		"trapd_jobs_done_total":      "Assessment jobs that finished successfully.",
+		"trapd_jobs_failed_total":    "Assessment jobs that terminated with an error.",
+		"trapd_span_seconds":         "Wall time of the spans of assessment jobs' traces, by span name; trapd.job is the whole run of a job.",
+		"trapd_http_requests_total":  "HTTP requests served, all routes.",
+		"trapd_http_request_seconds": "HTTP request latency.",
+		"engine_cost_batch_seconds":  "Wall time of one what-if cost batch.",
 	} {
 		s.reg.Describe(name, help)
 	}
@@ -711,17 +717,14 @@ func (s *Server) runJob(id string) {
 	tsp.Str("method", j.Method)
 	tsp.Str("constraint", j.Constraint)
 	s.jobs.update(id, func(j *Job) { j.TraceID = tsp.TraceID() })
-	// Span→event bridge: each finished measurement cell streams a "cell"
-	// progress event to the job's SSE subscribers.
-	tsp.Observe(cellObserver(e.hub))
+	tsp.Observe(s.jobObserver(e))
 	s.mJobsRun.Add(1)
-	sp := obs.StartSpan(s.mJobSecs)
 	// The job label covers the assessment's goroutine and the pool
 	// goroutines it starts, and is gone from the worker once it returns.
 	var res *JobResult
 	var err error
 	pprof.Do(ctx, pprof.Labels("job", id), func(ctx context.Context) {
-		res, err = s.runAssessment(ctx, j, e)
+		res, err = s.runAssessment(ctx, j)
 	})
 	var pe *panicError
 	isPanic := errors.As(err, &pe)
@@ -732,10 +735,9 @@ func (s *Server) runJob(id string) {
 		// with no error, which must not count as done.
 		err = ctx.Err()
 	}
-	elapsed := sp.EndExemplar(tsp.TraceID())
-	s.mJobsRun.Add(-1)
 	tsp.Fail(err)
-	tsp.End()
+	elapsed := tsp.End()
+	s.mJobsRun.Add(-1)
 
 	fin := time.Now()
 	s.jobs.finish(id, func(j *Job) {
@@ -783,29 +785,52 @@ func (s *Server) runJob(id string) {
 	}
 }
 
-// cellObserver builds the span→event bridge that streams one "cell"
-// progress event per finished measurement cell.
-func cellObserver(hub *jobHub) func(trace.SpanEnd) {
+// jobObserver is the observer of one job's trace. Every span end,
+// failed spans included, is an observation of
+// trapd_span_seconds{span=<name>}. The spans that mark progress also
+// stream it to the job's SSE subscribers: a finished measurement cell
+// as a "cell" event, and a completed RL epoch as an "epoch" event
+// followed by the epoch's rl_* "telemetry" event.
+func (s *Server) jobObserver(e *jobEntry) func(trace.SpanEnd) {
 	return func(se trace.SpanEnd) {
-		if se.Name != "assess.cell" {
-			return
-		}
-		ev := JobEvent{Type: evCell}
-		for _, a := range se.Attrs {
-			switch a.Key {
-			case "workload":
-				if v, ok := a.Value.(int64); ok {
-					w := int(v)
-					ev.Workload = &w
-				}
-			case "pairs":
-				if v, ok := a.Value.(int64); ok {
-					ev.Pairs = int(v)
-				}
+		s.spanSeconds(se.Name).ObserveDuration(se.Dur)
+		switch {
+		case se.Name == "assess.cell":
+			ev := JobEvent{Type: evCell}
+			if w, ok := intAttr(se.Attrs, "workload"); ok {
+				ev.Workload = &w
+			}
+			ev.Pairs, _ = intAttr(se.Attrs, "pairs")
+			e.hub.publish(ev)
+		case se.Name == "rl.epoch" && se.Err == "":
+			ep, _ := intAttr(se.Attrs, "epoch")
+			e.hub.publish(JobEvent{Type: evEpoch, Epoch: ep + 1})
+			if pts := rlPoints(e.scope); len(pts) > 0 {
+				e.hub.publish(JobEvent{Type: evTelemetry, Epoch: ep + 1, Points: pts})
 			}
 		}
-		hub.publish(ev)
 	}
+}
+
+// spanSeconds returns the trapd_span_seconds histogram of a span name,
+// creating it on the name's first end.
+func (s *Server) spanSeconds(name string) *obs.Histogram {
+	if h, ok := s.spanSecs.Load(name); ok {
+		return h.(*obs.Histogram)
+	}
+	h, _ := s.spanSecs.LoadOrStore(name, s.reg.Histogram(fmt.Sprintf("trapd_span_seconds{span=%q}", name)))
+	return h.(*obs.Histogram)
+}
+
+// intAttr returns a span's integer attribute.
+func intAttr(attrs []trace.Attr, key string) (int, bool) {
+	for _, a := range attrs {
+		if a.Key == key {
+			v, ok := a.Value.(int64)
+			return int(v), ok
+		}
+	}
+	return 0, false
 }
 
 // runAssessment trains the method against the advisor and measures IUDR
@@ -814,7 +839,7 @@ func cellObserver(hub *jobHub) func(trace.SpanEnd) {
 // pair boundary on cancellation (RL advisor training included, via
 // BuildAdvisorCtx). A panic anywhere in the assessment is captured as a
 // *panicError return.
-func (s *Server) runAssessment(ctx context.Context, j Job, e *jobEntry) (res *JobResult, err error) {
+func (s *Server) runAssessment(ctx context.Context, j Job) (res *JobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &panicError{val: r, stack: debug.Stack()}
@@ -843,27 +868,16 @@ func (s *Server) runAssessment(ctx context.Context, j Job, e *jobEntry) (res *Jo
 		if data, derr := s.ckpt.load(j); derr == nil && len(data) > 0 {
 			mc.Resume = bytes.NewReader(data)
 		}
-	}
-	// The epoch hook always runs (it feeds the progress stream);
-	// checkpointing piggybacks on it when a spool is configured.
-	mc.EpochHook = func(fw *core.Framework, epoch int) error {
-		// The epoch's telemetry rides along: the per-epoch RL series
-		// values stream to SSE subscribers.
-		e.hub.publish(JobEvent{Type: evEpoch, Epoch: epoch + 1})
-		if pts := rlPoints(e.scope); len(pts) > 0 {
-			e.hub.publish(JobEvent{Type: evTelemetry, Epoch: epoch + 1, Points: pts})
-		}
-		if s.ckpt == nil {
+		mc.EpochHook = func(fw *core.Framework, epoch int) error {
+			if serr := s.ckpt.save(j, fw, epoch+1); serr != nil {
+				// Best-effort: a failed checkpoint write must not fail the
+				// job, it only loses resumability.
+				s.log.Warn(ctx, "trapd: checkpoint save failed", "err", serr)
+				return nil
+			}
+			s.mCkptSaved.Inc()
 			return nil
 		}
-		if serr := s.ckpt.save(j, fw, epoch+1); serr != nil {
-			// Best-effort: a failed checkpoint write must not fail the
-			// job, it only loses resumability.
-			s.log.Warn(ctx, "trapd: checkpoint save failed", "err", serr)
-			return nil
-		}
-		s.mCkptSaved.Inc()
-		return nil
 	}
 	m, err := suite.BuildMethod(ctx, j.Method, pc, adv, base, ac, mc)
 	if err != nil {

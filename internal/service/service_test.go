@@ -350,18 +350,18 @@ func TestAssessJobLifecycle(t *testing.T) {
 	}
 
 	// After a completed assessment the metrics exposition shows what-if
-	// traffic and plan-cache activity.
+	// traffic, the dataset's plan-cache activity and the job's spans.
 	code, body = getPath(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
 	for _, metric := range []string{
 		"engine_whatif_calls_total",
-		"engine_plan_cache_hits_total",
-		"engine_plan_cache_misses_total",
+		`engine_plan_cache_hits{dataset="tpch"}`,
+		`engine_plan_cache_misses{dataset="tpch"}`,
 		`engine_plan_cache_entries{dataset="tpch"}`,
 		"advisor_recommend_total",
-		"assess_measure_seconds_count",
+		`trapd_span_seconds_count{span="assess.measure"}`,
 		"trapd_jobs_done_total",
 	} {
 		val, ok := metricValue(body, metric)

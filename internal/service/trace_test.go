@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -154,9 +155,8 @@ func TestJobTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMetricsFormats checks the two /metrics expositions: Prometheus
-// 0.0.4 by default (also for the retired ?format=plain) and OpenMetrics
-// (with exemplars and # EOF) on request.
+// TestMetricsFormats checks the /metrics exposition: Prometheus 0.0.4,
+// also for the retired ?format=plain and ?format=openmetrics.
 func TestMetricsFormats(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
@@ -179,20 +179,112 @@ func TestMetricsFormats(t *testing.T) {
 		t.Fatal("0.0.4 exposition must not contain # EOF")
 	}
 
-	rec = getRecorder(t, h, "/metrics?format=openmetrics")
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") {
-		t.Fatalf("openmetrics content type: %q", ct)
+	for _, format := range []string{"plain", "openmetrics"} {
+		rec = getRecorder(t, h, "/metrics?format="+format)
+		if ct := rec.Header().Get("Content-Type"); ct != obs.ContentTypeProm {
+			t.Fatalf("?format=%s content type: %q, want the Prometheus default", format, ct)
+		}
+		if !strings.Contains(rec.Body.String(), "# TYPE trapd_http_requests_total counter") {
+			t.Fatalf("?format=%s did not serve the Prometheus exposition:\n%.200s", format, rec.Body.String())
+		}
 	}
-	if !strings.HasSuffix(rec.Body.String(), "# EOF\n") {
-		t.Fatal("openmetrics missing # EOF")
+}
+
+// TestJobSpanMetrics runs one TRAP job on a fresh server and checks
+// that the job's spans are its one source of latency metrics and of
+// progress events: trapd_span_seconds counts every span of the job's
+// trace under its name, and the SSE stream carries one epoch event per
+// RL epoch, each directly followed by its telemetry event, and one cell
+// event per measured workload.
+func TestJobSpanMetrics(t *testing.T) {
+	s := newFaultServer(t, func(c *Config) { c.Params.RLEpochs = 2 })
+	defer s.Close()
+	h := s.Handler()
+	done := waitForJob(t, h, submitJob(t, h, "Drop", "TRAP").ID, JobDone, 2*time.Minute)
+
+	code, body := getPath(t, h, "/v1/traces/"+done.TraceID)
+	if code != http.StatusOK {
+		t.Fatalf("trace fetch: %d %s", code, body)
+	}
+	var tj trace.TraceJSON
+	if err := json.Unmarshal(body, &tj); err != nil {
+		t.Fatal(err)
+	}
+	if tj.Root == nil || tj.Dropped != 0 {
+		t.Fatalf("trace: root %v, %d spans dropped", tj.Root != nil, tj.Dropped)
+	}
+	spans := map[string]int{}
+	var walk func(*trace.SpanJSON)
+	walk = func(sp *trace.SpanJSON) {
+		spans[sp.Name]++
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	walk(tj.Root)
+	t.Logf("spans by name: %v", spans)
+	for _, name := range []string{"trapd.job", "assess.build_method", "assess.measure", "rl.epoch", "pretrain.epoch"} {
+		if spans[name] == 0 {
+			t.Errorf("trace has no %s span (has %v)", name, spans)
+		}
 	}
 
-	rec = getRecorder(t, h, "/metrics?format=plain")
-	if ct := rec.Header().Get("Content-Type"); ct != obs.ContentTypeProm {
-		t.Fatalf("?format=plain content type: %q, want the Prometheus default", ct)
+	_, metrics := getPath(t, h, "/metrics")
+	for name, n := range spans {
+		series := fmt.Sprintf("trapd_span_seconds_count{span=%q}", name)
+		if got, ok := metricValue(metrics, series); !ok || got != float64(n) {
+			t.Errorf("%s = %v (present %v), want the trace's %d spans", series, got, ok, n)
+		}
 	}
-	if !strings.Contains(rec.Body.String(), "# TYPE trapd_http_requests_total counter") {
-		t.Fatalf("?format=plain did not serve the Prometheus exposition:\n%.200s", rec.Body.String())
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if rest, ok := strings.CutPrefix(line, `trapd_span_seconds_count{span="`); ok {
+			if name := rest[:strings.IndexByte(rest, '"')]; spans[name] == 0 {
+				t.Errorf("metrics count %q spans, which the job's trace does not have", name)
+			}
+		}
+	}
+	if strings.Contains(string(metrics), "# EOF") || strings.Contains(string(metrics), "trace_id") {
+		t.Errorf("metrics carry OpenMetrics syntax:\n%.400s", metrics)
+	}
+
+	code, body = getPath(t, h, "/v1/jobs/"+done.ID+"/events")
+	if code != http.StatusOK {
+		t.Fatalf("events: %d", code)
+	}
+	frames := readSSE(t, bytes.NewReader(body), 1<<20)
+	epochs := 0
+	cells := map[int]int{}
+	for i, f := range frames {
+		switch f.Event {
+		case evEpoch:
+			epochs++
+			if f.Data.Epoch != epochs {
+				t.Errorf("epoch event %d carries epoch %d", epochs, f.Data.Epoch)
+			}
+			if i+1 == len(frames) || frames[i+1].Event != evTelemetry || frames[i+1].Data.Epoch != epochs {
+				t.Errorf("epoch event %d is not directly followed by its telemetry event", epochs)
+			}
+		case evTelemetry:
+			if i == 0 || frames[i-1].Event != evEpoch {
+				t.Errorf("telemetry event for epoch %d follows no epoch event", f.Data.Epoch)
+			}
+		case evCell:
+			if f.Data.Workload == nil {
+				t.Fatal("cell event without workload index")
+			}
+			cells[*f.Data.Workload]++
+		}
+	}
+	if want := s.cfg.Params.RLEpochs; epochs != want {
+		t.Errorf("stream carried %d epoch events, want %d", epochs, want)
+	}
+	if want := s.cfg.Params.TestWorkloads; len(cells) != want {
+		t.Errorf("cell events for workloads %v, want one for each of %d", cells, want)
+	}
+	for w, n := range cells {
+		if n != 1 {
+			t.Errorf("workload %d has %d cell events, want 1", w, n)
+		}
 	}
 }
 

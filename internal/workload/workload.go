@@ -16,15 +16,9 @@ import (
 	"github.com/trap-repro/trap/internal/sqlx"
 )
 
-// What-if pressure metrics: how often the attack and training loops ask
-// the engine to price a whole workload. Together with the engine's
-// plan-cache counters these locate where a slow assessment burns its
-// time — in costing volume or in cache misses.
-var (
-	mCostEvals    = obs.Default().Counter("trap_workload_cost_evals_total")
-	mRuntimeEvals = obs.Default().Counter("trap_workload_runtime_evals_total")
-	mUtilityEvals = obs.Default().Counter("trap_workload_utility_evals_total")
-)
+// mUtilityEvals counts index-utility evaluations of a whole workload:
+// how often the attack and training loops ask for u(W, I).
+var mUtilityEvals = obs.Default().Counter("trap_workload_utility_evals_total")
 
 // Item is one workload entry: a query and its weight (frequency). The
 // assessments use unit weights, matching the paper's fair-comparison setup.
@@ -115,7 +109,6 @@ func Cost(e *engine.Engine, w *Workload, cfg schema.Config, mode engine.Mode) (f
 // CostCtx is Cost with cooperative cancellation: costing stops at the
 // next query boundary once ctx is done.
 func CostCtx(ctx context.Context, e *engine.Engine, w *Workload, cfg schema.Config, mode engine.Mode) (float64, error) {
-	mCostEvals.Inc()
 	return e.CostBatch(ctx, w.Items, cfg, mode)
 }
 
@@ -128,7 +121,6 @@ func RuntimeCost(e *engine.Engine, w *Workload, cfg schema.Config) (float64, err
 // stops at the next query boundary once ctx is done, so a canceled
 // assessment does not drain the whole runtime-costing loop.
 func RuntimeCostCtx(ctx context.Context, e *engine.Engine, w *Workload, cfg schema.Config) (float64, error) {
-	mRuntimeEvals.Inc()
 	return e.RuntimeBatch(ctx, w.Items, cfg)
 }
 
