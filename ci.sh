@@ -113,6 +113,11 @@ go test -run='^$' -bench='GRU' -benchtime=1x -timeout 120s ./internal/nn
 # allocs-per-decode budget (the tensor arena's dividend) and fails the
 # build if a change regresses past it.
 go test -run='^$' -bench=Rollout -benchtime=1x -timeout 120s ./internal/core
+# Checkpoint allocation gate: one save of a quick-scale TRAP framework
+# streams its tensors and Adam moments through one buffered writer, and
+# the benchmark fails the build if a save allocates more than 128 KiB
+# (a gob-encoded save allocated about 11 MB).
+go test -run='^$' -bench=SaveCheckpoint -benchtime=1x -timeout 120s ./internal/core
 # One op of the RL advisors' scorer benchmarks: a decision step scored
 # on warm scratch without gradients must not allocate (the benchmark
 # fails the build otherwise), and a short SWIRL training run.
@@ -130,20 +135,24 @@ echo "== fault-injection smoke =="
 # Drive the deterministic fault harness end to end: panic isolation, an
 # injected error failing its job (each job runs once), cancellation, a
 # canceled job holding its worker until it has stopped, a cancel in the
-# last measurement cell ending the job canceled, the job timeout, and
-# checkpoint/resume by resubmission.
+# last measurement cell ending the job canceled, the job timeout,
+# checkpoint/resume by resubmission, and damaged checkpoints: a
+# truncated, padded, legacy or mis-shaped file is rejected without
+# touching the framework, a corrupt spool file means fresh training,
+# and a spool file read mid-save is always a whole checkpoint.
 go test -timeout 120s -count=1 \
-    -run 'TestJobPanicIsolation|TestJobInjectedErrorFails|TestJobCancelEndpoints|TestCanceledJobHoldsItsWorker|TestCancelInFinalCellEndsCanceled|TestJobTimeout|TestJobCheckpointResume' \
+    -run 'TestJobPanicIsolation|TestJobInjectedErrorFails|TestJobCancelEndpoints|TestCanceledJobHoldsItsWorker|TestCancelInFinalCellEndsCanceled|TestJobTimeout|TestJobCheckpointResume|TestCorruptSpoolTrainsFresh|TestSpoolSaveIsAtomic' \
     ./internal/service
 go test -timeout 120s -count=1 \
-    -run 'TestCheckpointResumeEquivalence|TestRLTrainInjectedTransientError' \
+    -run 'TestCheckpointResumeEquivalence|TestLoadCheckpointRejects|TestRLTrainInjectedTransientError' \
     ./internal/core
 
 echo "== trace endpoint smoke =="
 # End-to-end observability check: a real job must yield a retrievable
 # trace with a >=4-level span tree; /metrics must serve the Prometheus
 # exposition and count every span of a TRAP job's trace in
-# trapd_span_seconds, while the job's SSE stream carries its epoch,
+# trapd_span_seconds, one rl.checkpoint span per RL epoch included,
+# while the job's SSE stream carries its epoch,
 # telemetry and cell events from the same spans; and per-route request
 # counters must be named by the route that matched, so unknown paths
 # add at most one series.

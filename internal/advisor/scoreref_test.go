@@ -321,13 +321,14 @@ func checkParams(t *testing.T, what string, want, got *nn.Params, grads bool) {
 // checkAdam compares two optimizers' step counts and moments.
 func checkAdam(t *testing.T, what string, want, got *nn.Adam, wp, gp *nn.Params) {
 	t.Helper()
-	wn, wm, wv := want.State(wp)
-	gn, gm, gv := got.State(gp)
-	if wn != gn {
+	if wn, gn := want.Steps(), got.Steps(); wn != gn {
 		t.Fatalf("%s: Adam step %d vs %d", what, wn, gn)
 	}
-	for i := range wm {
-		if !sameBits(wm[i], gm[i]) || !sameBits(wv[i], gv[i]) {
+	wt, gt := wp.Tensors(), gp.Tensors()
+	for i := range wt {
+		wm, wv := want.Moments(wt[i])
+		gm, gv := got.Moments(gt[i])
+		if !sameBits(wm, gm) || !sameBits(wv, gv) {
 			t.Fatalf("%s: Adam moments of parameter %d differ", what, i)
 		}
 	}

@@ -3,7 +3,6 @@ package assess
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"github.com/trap-repro/trap/internal/advisor"
 	"github.com/trap-repro/trap/internal/core"
@@ -47,12 +46,12 @@ type MethodConfig struct {
 	// the framework and the epoch index — trapd's checkpointing hook.
 	// A non-nil return aborts training with that error.
 	EpochHook func(fw *core.Framework, epoch int) error
-	// Resume, when non-nil, is a checkpoint stream written by
+	// Resume, when non-nil, is a checkpoint written by
 	// core.Framework.SaveCheckpoint: training restores it and continues
 	// from the checkpointed epoch. An unreadable or mismatched
 	// checkpoint falls back to fresh training (resume is best-effort —
 	// a corrupt spool file must not fail the job).
-	Resume io.Reader
+	Resume []byte
 }
 
 // BuildMethod constructs and trains a generation method against an

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/trap-repro/trap/internal/nn"
@@ -42,6 +45,49 @@ func BenchmarkRollout(b *testing.B) {
 	b.StopTimer()
 	if allocs := testing.AllocsPerRun(3, decode); allocs > rolloutAllocBudget {
 		b.Fatalf("rollout decode allocates %.0f objects per run, budget %d", allocs, rolloutAllocBudget)
+	}
+}
+
+// saveAllocBudget is the most one checkpoint save may allocate, in
+// bytes: its buffered writer, and nothing per tensor or value. The CI
+// bench smoke fails past it; a gob-encoded save of the same framework
+// allocated about 11 MB.
+const saveAllocBudget = 128 << 10
+
+// BenchmarkSaveCheckpoint streams a quick-scale TRAP framework's
+// checkpoint (parameters and Adam moments, after one RL epoch) to
+// io.Discard, and enforces the allocation budget.
+func BenchmarkSaveCheckpoint(b *testing.B) {
+	tf := newTrainFixture(b)
+	fw := tf.buildFW("TRAP", 123)
+	if _, err := fw.RLTrain(context.Background(), tf.f.e, tf.adv, nil, tf.c, tf.train, 1); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fw.SaveCheckpoint(&buf, 1); err != nil {
+		b.Fatal(err)
+	}
+	save := func() {
+		if err := fw.SaveCheckpoint(io.Discard, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		save()
+	}
+	b.StopTimer()
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		save()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > saveAllocBudget {
+		b.Fatalf("a checkpoint save allocates %d bytes, budget %d", per, saveAllocBudget)
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -126,7 +126,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			}
 
 			// Resume into a fresh, identically constructed framework.
-			ep, err := res.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()))
+			ep, err := res.LoadCheckpoint(ckpt.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,15 +139,51 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			}
 
 			combined := append(append([]float64{}, halfTrace...), resTrace...)
-			if !reflect.DeepEqual(refTrace, combined) {
+			if !sameBits(refTrace, combined) {
 				t.Errorf("reward traces diverged:\n  uninterrupted: %v\n  resumed:       %v", refTrace, combined)
 			}
-			want := ref.Model.Params().State()
-			got := res.Model.Params().State()
-			if !reflect.DeepEqual(want, got) {
-				t.Error("resumed parameters differ from uninterrupted run")
-			}
+			checkSameTraining(t, ref, res)
 		})
+	}
+}
+
+// sameBits reports whether two float slices hold the same values bit
+// for bit (reflect.DeepEqual would take -0 for +0).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSameTraining fails unless got's parameters, Adam step count and
+// Adam moments equal want's bit for bit, and got's optimizer has
+// stepped exactly the tensors want's has.
+func checkSameTraining(t *testing.T, want, got *Framework) {
+	t.Helper()
+	wt, gt := want.Model.Params().Tensors(), got.Model.Params().Tensors()
+	if len(wt) != len(gt) {
+		t.Fatalf("%d tensors, want %d", len(gt), len(wt))
+	}
+	for i := range wt {
+		if !sameBits(wt[i].W, gt[i].W) {
+			t.Fatalf("parameter tensor %d differs from the uninterrupted run", i)
+		}
+	}
+	if ws, gs := want.opt.Steps(), got.opt.Steps(); ws != gs {
+		t.Fatalf("Adam step %d, want %d", gs, ws)
+	}
+	for i := range wt {
+		wm, wv := want.opt.Moments(wt[i])
+		gm, gv := got.opt.Moments(gt[i])
+		if (wm == nil) != (gm == nil) || !sameBits(wm, gm) || !sameBits(wv, gv) {
+			t.Fatalf("Adam moments of tensor %d differ from the uninterrupted run", i)
+		}
 	}
 }
 

@@ -596,7 +596,12 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 		}
 		esp.End()
 		if f.EpochHook != nil {
-			if err := f.EpochHook(ep); err != nil {
+			_, csp := trace.Start(ctx, "rl.checkpoint")
+			csp.Int("epoch", int64(ep))
+			err := f.EpochHook(ep)
+			csp.Fail(err)
+			csp.End()
+			if err != nil {
 				return rewards, err
 			}
 		}

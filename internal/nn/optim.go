@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Adam is the Adam optimizer.
 type Adam struct {
@@ -58,51 +55,16 @@ func (a *Adam) Step(p *Params) {
 	}
 }
 
-// State exports the optimizer's step count and first/second moment
-// vectors in the order of p.Tensors(), for checkpointing. The returned
-// slices are copies. Tensors the optimizer has not stepped yet export
-// zero moments.
-func (a *Adam) State(p *Params) (t int, m, v [][]float64) {
-	ts := p.Tensors()
-	m = make([][]float64, len(ts))
-	v = make([][]float64, len(ts))
-	for i, tensor := range ts {
-		m[i] = make([]float64, tensor.Size())
-		v[i] = make([]float64, tensor.Size())
-		copy(m[i], a.m[tensor])
-		copy(v[i], a.v[tensor])
-	}
-	return a.t, m, v
-}
+// Steps returns the number of updates the optimizer has applied.
+func (a *Adam) Steps() int { return a.t }
 
-// SetState restores a State snapshot captured against an identically
-// shaped parameter registry, so a resumed training run continues with
-// the exact moment estimates of the interrupted one.
-func (a *Adam) SetState(p *Params, t int, m, v [][]float64) error {
-	ts := p.Tensors()
-	if len(m) != len(ts) || len(v) != len(ts) {
-		return fmt.Errorf("nn: optimizer state has %d/%d moment vectors, model has %d tensors",
-			len(m), len(v), len(ts))
-	}
-	for i, tensor := range ts {
-		if len(m[i]) != tensor.Size() || len(v[i]) != tensor.Size() {
-			return fmt.Errorf("nn: optimizer moment %d has %d/%d values, tensor has %d",
-				i, len(m[i]), len(v[i]), tensor.Size())
-		}
-	}
-	a.t = t
-	a.m = make(map[*Tensor][]float64, len(ts))
-	a.v = make(map[*Tensor][]float64, len(ts))
-	for i, tensor := range ts {
-		mi := make([]float64, len(m[i]))
-		vi := make([]float64, len(v[i]))
-		copy(mi, m[i])
-		copy(vi, v[i])
-		a.m[tensor] = mi
-		a.v[tensor] = vi
-	}
-	return nil
-}
+// SetSteps sets the update count, which scales the bias correction of
+// the next update (a checkpoint restore sets it with the moments).
+func (a *Adam) SetSteps(t int) { a.t = t }
+
+// Moments returns the live first and second moment vectors of t, or
+// nil for a tensor the optimizer has not stepped yet.
+func (a *Adam) Moments(t *Tensor) (m, v []float64) { return a.m[t], a.v[t] }
 
 // allZero reports whether every value of x is zero.
 func allZero(x []float64) bool {

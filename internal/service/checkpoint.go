@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -37,26 +36,26 @@ func (c *ckptStore) load(j Job) ([]byte, error) {
 }
 
 // save atomically writes a checkpoint for the job after doneEpochs
-// completed RL epochs.
+// completed RL epochs: the framework streams it into a temp file,
+// which is renamed over the job's spool file, so a reader (a resuming
+// sibling of the job's kind) sees the previous checkpoint or this one,
+// never part of one. The temp file is removed on every error.
 func (c *ckptStore) save(j Job, fw *core.Framework, doneEpochs int) error {
-	var buf bytes.Buffer
-	if err := fw.SaveCheckpoint(&buf, doneEpochs); err != nil {
-		return err
-	}
 	tmp, err := os.CreateTemp(c.dir, ".ckpt-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	err = fw.SaveCheckpoint(tmp, doneEpochs)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path(j))
 	}
-	return os.Rename(tmp.Name(), c.path(j))
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // remove drops the job's checkpoint (called when the job completes, so

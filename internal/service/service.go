@@ -43,7 +43,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -866,7 +865,7 @@ func (s *Server) runAssessment(ctx context.Context, j Job) (res *JobResult, err 
 	mc := assess.MethodConfig{}
 	if s.ckpt != nil {
 		if data, derr := s.ckpt.load(j); derr == nil && len(data) > 0 {
-			mc.Resume = bytes.NewReader(data)
+			mc.Resume = data
 		}
 		mc.EpochHook = func(fw *core.Framework, epoch int) error {
 			if serr := s.ckpt.save(j, fw, epoch+1); serr != nil {

@@ -190,14 +190,18 @@ func TestMetricsFormats(t *testing.T) {
 	}
 }
 
-// TestJobSpanMetrics runs one TRAP job on a fresh server and checks
-// that the job's spans are its one source of latency metrics and of
-// progress events: trapd_span_seconds counts every span of the job's
+// TestJobSpanMetrics runs one TRAP job on a fresh server with a spool
+// and checks that the job's spans are its one source of latency metrics
+// and of progress events: every RL epoch's checkpoint has its own
+// rl.checkpoint span, trapd_span_seconds counts every span of the job's
 // trace under its name, and the SSE stream carries one epoch event per
 // RL epoch, each directly followed by its telemetry event, and one cell
 // event per measured workload.
 func TestJobSpanMetrics(t *testing.T) {
-	s := newFaultServer(t, func(c *Config) { c.Params.RLEpochs = 2 })
+	s := newFaultServer(t, func(c *Config) {
+		c.Params.RLEpochs = 2
+		c.SpoolDir = t.TempDir()
+	})
 	defer s.Close()
 	h := s.Handler()
 	done := waitForJob(t, h, submitJob(t, h, "Drop", "TRAP").ID, JobDone, 2*time.Minute)
@@ -227,6 +231,9 @@ func TestJobSpanMetrics(t *testing.T) {
 		if spans[name] == 0 {
 			t.Errorf("trace has no %s span (has %v)", name, spans)
 		}
+	}
+	if spans["rl.checkpoint"] != spans["rl.epoch"] {
+		t.Errorf("trace has %d rl.checkpoint spans for %d rl.epoch spans", spans["rl.checkpoint"], spans["rl.epoch"])
 	}
 
 	_, metrics := getPath(t, h, "/metrics")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -170,5 +171,61 @@ func TestResumeFromRunningSibling(t *testing.T) {
 				t.Errorf("held job = %+v, want the warm result %+v", *j.Result, warm)
 			}
 		})
+	}
+}
+
+// TestCorruptSpoolTrainsFresh puts a file that does not load as a
+// checkpoint at a kind's spool path before a job of the kind runs: a
+// real checkpoint one byte short (what reading a file mid-save would
+// give without the atomic rename) and arbitrary bytes. Each job must
+// train from scratch and return the kind's warm result.
+func TestCorruptSpoolTrainsFresh(t *testing.T) {
+	hold := &holdInjector{}
+	s := newFaultServer(t, func(c *Config) {
+		c.Params.RLEpochs = 3
+		c.SpoolDir = filepath.Join(t.TempDir(), "spool")
+		c.Injector = hold
+	})
+	defer s.Close()
+	h := s.Handler()
+	const advisor, method = "Extend", "TRAP"
+	var warm Job
+	for i := 0; i < 2; i++ {
+		warm = waitForJob(t, h, submitJob(t, h, advisor, method).ID, JobDone, 2*time.Minute)
+	}
+	path := s.ckpt.path(warm)
+
+	// A real checkpoint: the one a job spools after its first epoch.
+	hold.arm(2)
+	held := submitJob(t, h, advisor, method)
+	select {
+	case <-hold.held:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("the job never reached its second RL epoch")
+	}
+	ckpt, err := os.ReadFile(path)
+	close(hold.release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForJob(t, h, held.ID, JobDone, 2*time.Minute)
+
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"checkpoint one byte short", ckpt[:len(ckpt)-1]},
+		{"garbage", []byte("not a checkpoint\n")},
+	} {
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j := pollTerminal(t, h, submitJob(t, h, advisor, method).ID, 2*time.Minute)
+		if j.Status != JobDone || j.Resumed {
+			t.Fatalf("%s: job ended %s (%s), resumed %v; want done from fresh training", c.name, j.Status, j.Error, j.Resumed)
+		}
+		if !sameResult(*j.Result, *warm.Result) {
+			t.Errorf("%s: job = %+v, want the warm result %+v", c.name, *j.Result, *warm.Result)
+		}
 	}
 }
