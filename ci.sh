@@ -36,9 +36,10 @@ echo "== perfbench: vet + test =="
 
 echo "== race detector =="
 # The engine package gets an explicit pass first: the sharded plan cache
-# and its singleflight, shared by every job, measurement cell and
-# rollout on a suite, are the repo's hottest concurrent code and must
-# fail fast and loud on a data race.
+# (its tree and cost maps, the cost map's key arena) and its
+# singleflight, shared by every job, measurement cell and rollout on a
+# suite, are the repo's hottest concurrent code and must fail fast and
+# loud on a data race.
 go test -race -timeout 300s -count=1 ./internal/engine
 # The tracer is written to from every pipeline goroutine (rollout pools,
 # measurement cells, jobs) while /v1/traces reads it: its own
@@ -72,11 +73,15 @@ go test -timeout 300s -count=1 \
 go test -timeout 300s -run '^$' -fuzz FuzzTrainMatchesReference -fuzztime 15s ./internal/gbdt
 # And the planner: plans built over a memoized planning skeleton must be
 # the reference planner's bit for bit (generated and perturbed workloads
-# on three schemas, both modes, every error), a query's skeletons must
-# be keyed by engine, dropped by Invalidate and never pin their engine,
-# and racing first plans of one query must agree (-race -count=10).
+# on three schemas, both modes, every error), and so must the cost
+# path's tree-free pricing and every cached cost and tree, also under
+# configurations padded with inert indexes and after the same indexes
+# in another order; no inert index may appear in a plan; ClearCache
+# must empty the cost map too; a query's skeletons must be keyed by
+# engine, dropped by Invalidate and never pin their engine, and racing
+# first plans of one query must agree (-race -count=10).
 go test -timeout 300s -count=1 \
-    -run 'TestPlanMatchesReference|TestPlanErrorsMatchReference|TestSkeletonKeyedByEngine|TestQueryMemoInvalidation|TestPlannedQueryDoesNotPinEngine' \
+    -run 'TestPlanMatchesReference|TestPlanErrorsMatchReference|TestInertIndexNeverInPlan|TestClearCacheDropsCosts|TestSkeletonKeyedByEngine|TestQueryMemoInvalidation|TestPlannedQueryDoesNotPinEngine' \
     ./internal/engine
 go test -timeout 300s -run '^$' -fuzz FuzzPlanMatchesReference -fuzztime 15s ./internal/engine
 go test -race -timeout 300s -count=10 -run 'TestConcurrentSkeletonBuild' ./internal/engine
@@ -100,9 +105,12 @@ go test -race -tags scalinggate -timeout 300s -count=1 \
 go test -tags scalinggate -timeout 300s -count=1 -run 'TestRLTrainScalingGate' ./internal/core
 
 echo "== benchmark smoke =="
-# One iteration of every CostBatch benchmark: catches bit-rot in the
-# benchmark harness and any pathological slowdown of the costing path.
-go test -run='^$' -bench=CostBatch -benchtime=1x -timeout 120s ./internal/engine
+# One iteration of every CostBatch and RuntimeBatch benchmark: catches
+# bit-rot in the benchmark harness and any pathological slowdown of the
+# costing path, and gates its allocations: a warm batch of either kind
+# must not allocate, and a cold one may make at most 4 allocations per
+# item (the benchmarks fail the build otherwise).
+go test -run='^$' -bench='CostBatch|RuntimeBatch' -benchtime=1x -timeout 120s ./internal/engine
 # One op of each planner micro-benchmark: a first plan of a fresh query,
 # and a plan of an already-planned query under a new configuration.
 go test -run='^$' -bench='PlanCold|PlanWarmQuery' -benchtime=1x -timeout 120s ./internal/engine

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -141,53 +142,68 @@ func (e *Engine) ClearCache() {
 	e.cache.clear()
 }
 
-// keyBuf is the reusable scratch for rendering one plan-cache key: the
-// key bytes and the per-table index sort scratch. Every costing path
-// borrows one from keyBufPool (a batch keeps it for all its items), so
-// steady-state key building allocates nothing.
+// keyBuf is the reusable scratch of one costing call: the cache key
+// bytes, the positions of the indexes the key lists for one table, and
+// the planning scratch of a cost-map miss. Every costing path borrows
+// one from keyBufPool (a batch keeps it for all its items), so
+// steady-state key building and cost planning allocate nothing.
 type keyBuf struct {
-	buf []byte
-	ixs []schema.Index
+	buf  []byte
+	ixs  []int
+	plan planScratch
 }
 
 var keyBufPool = sync.Pool{New: func() any { return new(keyBuf) }}
 
-// planKey renders the cache key of (q, cfg, mode) into kb: the mode,
-// the canonical query text and, per table the query references (in the
-// query's stable table order), the sorted identities of the indexes cfg
-// holds on that table. Indexes on tables the query never touches cannot
-// affect its plan — plan() skips every index whose table is not one of
-// the query's — so they are excluded: configurations that differ
-// only in irrelevant indexes share one cache entry instead of each
-// missing, which is what lets the advisor's what-if loop (which probes
-// hundreds of configurations against the same queries) run mostly on
-// cache hits.
+// planKey renders the cache key of (q, cfg, mode) into kb: a byte for
+// the map and mode, the canonical query text and, per table the query
+// references (in the query's table order), the identities of the
+// indexes cfg holds on that table that can change the plan. Indexes on
+// tables the query never touches are left out, and so are inert ones
+// (see inert): the plan and its cost are the same with or without them.
+// So configurations that differ only in such indexes share one entry,
+// which is what lets the advisors' what-if loops (hundreds of
+// configurations against the same queries) run mostly on cache hits.
+//
+// A cost key sorts each table's indexes, since a plan's cost does not
+// depend on their order. A tree key lists them in cfg order: an index
+// path or nested loop takes the first of several equally cheap indexes,
+// so a tree cached under one order could name another index than fresh
+// planning under another order would.
+//
 // It also returns the key's shard hash, continued from the memoized
 // hash of the query text so only the short mode/config suffix is
 // re-hashed per call.
-func planKey(kb *keyBuf, q *sqlx.Query, cfg schema.Config, mode Mode) ([]byte, uint64) {
+func (e *Engine) planKey(kb *keyBuf, q *sqlx.Query, cfg schema.Config, mode Mode, tree bool) ([]byte, uint64) {
 	qa := analysisOf(q)
+	mask := e.pagelessMask(qa)
 	b := kb.buf[:0]
-	b = append(b, byte('0'+int(mode)))
+	if tree {
+		b = append(b, byte('t'+int(mode)))
+	} else {
+		b = append(b, byte('c'+int(mode)))
+	}
 	b = append(b, q.String()...)
 	suffix := len(b)
-	for _, t := range qa.tables {
+	for i, t := range qa.tables {
 		b = append(b, '|')
 		ixs := kb.ixs[:0]
-		for _, ix := range cfg {
-			if ix.Table == t {
-				ixs = append(ixs, ix)
+		for k := range cfg {
+			if cfg[k].Table == t && !qa.inert(mask, i, &cfg[k]) {
+				ixs = append(ixs, k)
 			}
 		}
-		// Insertion sort: per-table subsets are tiny and this avoids the
-		// sort.Slice interface allocation.
-		for i := 1; i < len(ixs); i++ {
-			for j := i; j > 0 && ixs[j].Less(ixs[j-1]); j-- {
-				ixs[j], ixs[j-1] = ixs[j-1], ixs[j]
+		if !tree {
+			// Insertion sort: per-table subsets are tiny and this avoids
+			// the sort.Slice interface allocation.
+			for x := 1; x < len(ixs); x++ {
+				for j := x; j > 0 && cfg[ixs[j]].Less(cfg[ixs[j-1]]); j-- {
+					ixs[j], ixs[j-1] = ixs[j-1], ixs[j]
+				}
 			}
 		}
-		for _, ix := range ixs {
-			for _, c := range ix.Columns {
+		for _, k := range ixs {
+			for _, c := range cfg[k].Columns {
 				b = append(b, c...)
 				b = append(b, ',')
 			}
@@ -197,26 +213,18 @@ func planKey(kb *keyBuf, q *sqlx.Query, cfg schema.Config, mode Mode) ([]byte, u
 	}
 	kb.buf = b
 	h := qa.textHash
-	h ^= uint64(b[0]) // mode byte
+	h ^= uint64(b[0]) // map and mode byte
 	h *= 1099511628211
 	return b, fnv1aSeed(h, b[suffix:])
 }
 
 // Plan returns the cheapest plan for q under the index configuration cfg,
-// priced with the given statistics mode. Results are cached; the returned
-// node is shared and must not be mutated.
+// priced with the given statistics mode. Results are cached in the tree
+// map; the returned node is shared and must not be mutated.
 func (e *Engine) Plan(q *sqlx.Query, cfg schema.Config, mode Mode) (*PlanNode, error) {
 	kb := keyBufPool.Get().(*keyBuf)
 	defer keyBufPool.Put(kb)
-	return e.planCached(kb, q, cfg, mode)
-}
-
-// planCached looks the plan up in the sharded cache and, on a miss,
-// builds it under singleflight: concurrent misses on the same key plan
-// once and share the resulting node. The key is rendered into kb and
-// only cloned to a heap string when a miss actually inserts it.
-func (e *Engine) planCached(kb *keyBuf, q *sqlx.Query, cfg schema.Config, mode Mode) (*PlanNode, error) {
-	key, hash := planKey(kb, q, cfg, mode)
+	key, hash := e.planKey(kb, q, cfg, mode, true)
 	sh := e.cache.shardOf(hash)
 	if p, ok := sh.lookup(hash, key); ok {
 		return p, nil
@@ -240,7 +248,8 @@ func (e *Engine) SetInjector(in faultinject.Injector) {
 
 // QueryCost returns the total cost of the cheapest plan for q. In
 // ModeEstimated this is the engine's what-if interface — the call
-// advisors are billed for.
+// advisors are billed for. Costs are cached in the cost map, apart from
+// Plan's trees, and a miss is priced without building a tree.
 func (e *Engine) QueryCost(q *sqlx.Query, cfg schema.Config, mode Mode) (float64, error) {
 	kb := keyBufPool.Get().(*keyBuf)
 	defer keyBufPool.Put(kb)
@@ -259,11 +268,20 @@ func (e *Engine) queryCost(kb *keyBuf, q *sqlx.Query, cfg schema.Config, mode Mo
 			return 0, err
 		}
 	}
-	p, err := e.planCached(kb, q, cfg, mode)
-	if err != nil {
-		return 0, err
+	key, hash := e.planKey(kb, q, cfg, mode, false)
+	sh := e.cache.shardOf(hash)
+	if c, ok := sh.lookupCost(hash, key); ok {
+		return c, nil
 	}
-	return p.Cost, nil
+	return sh.doCost(hash, key, e.cache.shardLimit(), func() (float64, error) {
+		sp := obs.StartSpan(mPlanSeconds)
+		defer sp.End()
+		sk := e.skeletonOf(q, mode)
+		if sk.err != nil {
+			return 0, sk.err
+		}
+		return sk.planCost(e.schema, cfg, &kb.plan), nil
+	})
 }
 
 // CostItem is one weighted query in a CostBatch call; workload.Item is
@@ -311,7 +329,8 @@ func (e *Engine) batchSpan(ctx context.Context, name string, items int) (context
 }
 
 // RuntimeCost is the stand-in for actual query runtime: the true-statistics
-// cost with a small deterministic per-query execution noise.
+// cost with a small deterministic per-query execution noise, a factor
+// hashed from the query text and memoized on its analysis.
 func (e *Engine) RuntimeCost(q *sqlx.Query, cfg schema.Config) (float64, error) {
 	kb := keyBufPool.Get().(*keyBuf)
 	defer keyBufPool.Put(kb)
@@ -323,7 +342,19 @@ func (e *Engine) runtimeCost(kb *keyBuf, q *sqlx.Query, cfg schema.Config) (floa
 	if err != nil {
 		return 0, err
 	}
-	return c * stats.HashFactor("rt:"+q.String(), 0.05), nil
+	return c * analysisOf(q).runtimeFactor(q), nil
+}
+
+// runtimeFactor returns RuntimeCost's noise factor for q's text,
+// hashing the text on the first call only. Racing first calls compute
+// the same factor.
+func (qa *queryAnalysis) runtimeFactor(q *sqlx.Query) float64 {
+	if b := qa.runtimeBits.Load(); b != 0 {
+		return math.Float64frombits(b)
+	}
+	f := stats.HashFactor("rt:"+q.String(), 0.05)
+	qa.runtimeBits.Store(math.Float64bits(f))
+	return f
 }
 
 // RuntimeBatch is CostBatch over the runtime stand-in: the weighted
@@ -372,6 +403,13 @@ type tableStatic struct {
 	groups  []predGroup // single-table OR-groups on this table
 	reqCols map[string]bool
 	predOps int // predicate terms evaluated per row
+
+	// What the inert rule reads: the required columns as a list, and
+	// the columns that keep an index they lead: those of the sargable
+	// predicates on this table, then this table's columns in join
+	// predicates (the nested-loop lookups).
+	reqList []string
+	leads   []string
 }
 
 // queryAnalysis is the memoized, engine-independent part of planning a
@@ -382,13 +420,98 @@ type queryAnalysis struct {
 	tables    []string
 	columns   []sqlx.ColumnRef
 	statics   map[string]*tableStatic
-	topGroups []predGroup // groups spanning several tables
+	byNum     []*tableStatic // statics by table number
+	topGroups []predGroup    // groups spanning several tables
+	// wantOrder is the order a single-table query would like its scan
+	// to provide, as the skeleton has it.
+	wantOrder []string
 	// textHash is the FNV-1a hash of the canonical query text, the seed
 	// for plan-key shard hashing (so lookups only hash the short suffix).
 	textHash uint64
+	// runtimeBits holds RuntimeCost's execution noise factor for this
+	// text once computed (0 before: the factor is positive).
+	runtimeBits atomic.Uint64
 	// skeletons holds the planning skeleton of every (engine id, mode)
 	// that planned the query; see skeletonOf.
 	skeletons atomic.Pointer[[]skelEntry]
+	// floors holds, per engine id that keyed the query, which tables'
+	// pageless floor is at least their sequential-scan cost; see
+	// pagelessMask.
+	floors atomic.Pointer[[]floorEntry]
+}
+
+// floorEntry is one engine's pagelessMask of a query.
+type floorEntry struct {
+	engine uint64
+	mask   uint64
+}
+
+// inert reports whether ix, an index on the query's table number i, can
+// never become an access path, the ordered alternative or a nested-loop
+// side under the engine whose pagelessMask is mask, so the cache keys
+// leave it out: the table's pageless floor is at least its
+// sequential-scan cost, ix's leading column has no sargable predicate
+// and is no join column, ix does not provide the wanted order, and it
+// does not cover the required columns. Such an index matches nothing,
+// so it costs at least the floor (see scanCost), and plan compares with
+// a strict < starting from the sequential scan, so it never picks it.
+func (qa *queryAnalysis) inert(mask uint64, i int, ix *schema.Index) bool {
+	if i >= 64 || mask&(1<<i) == 0 {
+		return false
+	}
+	ts := qa.byNum[i]
+	if len(ix.Columns) > 0 && hasColumn(ts.leads, ix.Columns[0]) {
+		return false
+	}
+	if providesOrder(ix.Columns, qa.wantOrder) {
+		return false
+	}
+	for _, c := range ts.reqList {
+		if !hasColumn(ix.Columns, c) {
+			return true
+		}
+	}
+	return false
+}
+
+// pagelessMask returns the set of q's tables (bit i for table number i)
+// whose pageless floor, the cheapest any matchless, non-covering index
+// scan can cost, is at least the sequential scan's cost in this
+// engine. Both depend on the schema table and the query's predicate
+// count alone, not on the mode, so a query memoizes one mask per
+// engine next to its skeletons, and a cache hit builds no skeleton.
+// An unknown table gets no bit; such a query fails to plan anyway.
+func (e *Engine) pagelessMask(qa *queryAnalysis) uint64 {
+	if list := qa.floors.Load(); list != nil {
+		for _, fe := range *list {
+			if fe.engine == e.id {
+				return fe.mask
+			}
+		}
+	}
+	var mask uint64
+	for i, name := range qa.tables {
+		t := e.schema.Table(name)
+		if t == nil || i >= 64 {
+			continue
+		}
+		var st skelTable
+		st.setScanCosts(t, qa.byNum[i].predOps)
+		if floor, _ := st.scanCost(1, 0, false, 0); floor >= st.seqCost {
+			mask |= 1 << i
+		}
+	}
+	for {
+		old := qa.floors.Load()
+		var list []floorEntry
+		if old != nil {
+			list = *old
+		}
+		next := append(list[:len(list):len(list)], floorEntry{engine: e.id, mask: mask})
+		if qa.floors.CompareAndSwap(old, &next) {
+			return mask
+		}
+	}
 }
 
 // analysisOf returns the memoized analysis of q, computing and caching
@@ -400,15 +523,20 @@ func analysisOf(q *sqlx.Query) *queryAnalysis {
 	}
 	qa := &queryAnalysis{tables: q.Tables(), columns: q.Columns(), textHash: fnv1aString(q.String())}
 	qa.statics = make(map[string]*tableStatic, len(qa.tables))
-	for _, t := range qa.tables {
-		qa.statics[t] = &tableStatic{reqCols: map[string]bool{}}
+	qa.byNum = make([]*tableStatic, len(qa.tables))
+	for i, t := range qa.tables {
+		if qa.statics[t] == nil {
+			qa.statics[t] = &tableStatic{reqCols: map[string]bool{}}
+		}
+		qa.byNum[i] = qa.statics[t]
 	}
 	for _, c := range qa.columns {
 		if st := qa.statics[c.Table]; st != nil {
 			st.reqCols[c.Column] = true
 		}
 	}
-	for _, g := range groupFilters(q) {
+	groups := groupFilters(q)
+	for _, g := range groups {
 		t := g.onlyTable()
 		if t == "" {
 			qa.topGroups = append(qa.topGroups, g)
@@ -418,6 +546,45 @@ func analysisOf(q *sqlx.Query) *queryAnalysis {
 			st.groups = append(st.groups, g)
 			st.predOps += len(g.preds)
 		}
+	}
+	// Each table's required columns and lead columns are windows of one
+	// array each, in the order of qa.columns and of its groups and joins.
+	reqs := make([]string, 0, len(qa.columns))
+	leads := make([]string, 0, len(groups)+2*len(q.Joins))
+	for i, t := range qa.tables {
+		st := qa.byNum[i]
+		if st.reqList != nil || st.leads != nil {
+			continue // a table named twice shares one static
+		}
+		from := len(reqs)
+		for _, c := range qa.columns {
+			if c.Table == t {
+				reqs = append(reqs, c.Column)
+			}
+		}
+		st.reqList = reqs[from:len(reqs):len(reqs)]
+		from = len(leads)
+		for _, g := range st.groups {
+			if g.sargable {
+				leads = append(leads, g.preds[0].Col.Column)
+			}
+		}
+		for _, jp := range q.Joins {
+			if jp.Left.Table == t {
+				leads = append(leads, jp.Left.Column)
+			}
+			if jp.Right.Table == t {
+				leads = append(leads, jp.Right.Column)
+			}
+		}
+		st.leads = leads[from:len(leads):len(leads)]
+	}
+	if len(qa.tables) == 1 {
+		desired := q.OrderBy
+		if len(desired) == 0 {
+			desired = q.GroupBy
+		}
+		qa.wantOrder = oneTableColumns(desired)
 	}
 	q.SetPlanInfo(qa)
 	return qa
@@ -431,7 +598,7 @@ func (e *Engine) plan(q *sqlx.Query, cfg schema.Config, mode Mode) (*PlanNode, e
 	if sk.err != nil {
 		return nil, sk.err
 	}
-	return sk.plan(e.schema, cfg), nil
+	return sk.plan(e.schema, cfg, new(planScratch)), nil
 }
 
 // providesOrder reports whether an output ordered on `have` satisfies the

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -362,6 +363,43 @@ func TestPlanCaching(t *testing.T) {
 	}
 	if p1.Cost != p3.Cost {
 		t.Error("re-planned cost differs")
+	}
+}
+
+// TestClearCacheDropsCosts: ClearCache empties the cost map as well as
+// the tree map, so the next QueryCost and Plan are misses, priced as
+// before.
+func TestClearCacheDropsCosts(t *testing.T) {
+	e := New(testSchema())
+	q := sqlx.MustParse("SELECT orders.id FROM orders WHERE orders.cust_id = 7")
+	cost := func() float64 {
+		c, err := e.QueryCost(q, nil, ModeEstimated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c1 := cost()
+	cost()
+	if _, err := e.Plan(q, nil, ModeEstimated); err != nil {
+		t.Fatal(err)
+	}
+	st := e.CacheStats()
+	if st.Entries != 2 || st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("before ClearCache: %+v, want 2 entries (a cost and a tree), 1 hit, 2 misses", st)
+	}
+	e.ClearCache()
+	if st := e.CacheStats(); st.Entries != 0 {
+		t.Fatalf("ClearCache left %d entries", st.Entries)
+	}
+	if c2 := cost(); math.Float64bits(c2) != math.Float64bits(c1) {
+		t.Fatalf("cost after ClearCache %v, want %v", c2, c1)
+	}
+	if _, err := e.Plan(q, nil, ModeEstimated); err != nil {
+		t.Fatal(err)
+	}
+	if after := e.CacheStats(); after.Hits != st.Hits || after.Misses != st.Misses+2 {
+		t.Fatalf("after ClearCache: %d hits and %d misses, want %d and %d", after.Hits, after.Misses, st.Hits, st.Misses+2)
 	}
 }
 

@@ -13,6 +13,34 @@ func (e *Engine) PlanUncached(q *sqlx.Query, cfg schema.Config, mode Mode) (*Pla
 	return e.plan(q, cfg, mode)
 }
 
+// PlanCostUncached prices q with the cost map's planner (no tree, no
+// cache).
+func (e *Engine) PlanCostUncached(q *sqlx.Query, cfg schema.Config, mode Mode) (float64, error) {
+	sk := e.skeletonOf(q, mode)
+	if sk.err != nil {
+		return 0, sk.err
+	}
+	return sk.planCost(e.schema, cfg, new(planScratch)), nil
+}
+
+// Inert reports, per index of cfg, whether the inert rule leaves it out
+// of q's cache keys under this engine. An index on a table q does not
+// read is not inert: the keys leave it out for that reason alone.
+func (e *Engine) Inert(q *sqlx.Query, cfg schema.Config) []bool {
+	qa := analysisOf(q)
+	mask := e.pagelessMask(qa)
+	out := make([]bool, len(cfg))
+	for k := range cfg {
+		for i, t := range qa.tables {
+			if t == cfg[k].Table {
+				out[k] = qa.inert(mask, i, &cfg[k])
+				break
+			}
+		}
+	}
+	return out
+}
+
 // RefPlan plans q with the reference planner of planref_test.go.
 func (e *Engine) RefPlan(q *sqlx.Query, cfg schema.Config, mode Mode) (*PlanNode, error) {
 	return e.refPlan(q, cfg, mode)

@@ -197,11 +197,7 @@ func (e *Engine) buildSkeleton(q *sqlx.Query, qa *queryAnalysis, mode Mode) *ske
 		sk.slots[i] = skelSlot{rows: st.outRows, sort: sortCost(st.outRows)}
 	}
 	if n == 1 {
-		desired := q.OrderBy
-		if len(desired) == 0 {
-			desired = q.GroupBy
-		}
-		sk.wantOrder = oneTableColumns(desired)
+		sk.wantOrder = qa.wantOrder
 	} else {
 		e.joinSkeleton(sk, q, mode)
 	}
@@ -219,11 +215,7 @@ func (e *Engine) scanSkeleton(st *skelTable, ts *tableStatic, mode Mode) {
 	if st.outRows < 1 {
 		st.outRows = 1
 	}
-	st.seqCost = t.Pages()*seqPageCost + float64(t.Rows)*cpuTupleCost +
-		float64(t.Rows)*float64(ts.predOps)*cpuOpCost
-	st.descent = btreeHeight(float64(t.Rows)) * randPageCost
-	st.pages = t.Pages()
-	st.predOps = ts.predOps
+	st.setScanCosts(t, ts.predOps)
 	for _, g := range ts.groups {
 		if !g.sargable {
 			continue
@@ -243,6 +235,20 @@ func (e *Engine) scanSkeleton(st *skelTable, ts *tableStatic, mode Mode) {
 	for c := range ts.reqCols {
 		st.reqCols = append(st.reqCols, c)
 	}
+}
+
+// setScanCosts fills in the costs of scanning t that depend on neither
+// the statistics mode nor the configuration: the sequential scan, the
+// B-tree descent every index scan pays, and the residual predicate
+// terms. The inert rule's pageless floor (pagelessMask) is priced from
+// the same fields.
+func (st *skelTable) setScanCosts(t *schema.Table, predOps int) {
+	st.t = t
+	st.seqCost = t.Pages()*seqPageCost + float64(t.Rows)*cpuTupleCost +
+		float64(t.Rows)*float64(predOps)*cpuOpCost
+	st.descent = btreeHeight(float64(t.Rows)) * randPageCost
+	st.pages = t.Pages()
+	st.predOps = predOps
 }
 
 // joinSkeleton enumerates the join search of a query of two or more
@@ -489,11 +495,21 @@ func (st *skelTable) indexCost(s *schema.Schema, ix *schema.Index) (float64, Nod
 			break
 		}
 	}
+	return st.scanCost(matchedSel, nMatched, covering, ix.SizeBytes(s)/schema.PageSize)
+}
+
+// scanCost prices an index scan of ixPages leaf pages that matches
+// matchedSel of the table on its first nMatched columns. With
+// matchedSel 1, nMatched 0, covering false and ixPages 0 it is the
+// table's pageless floor: every index whose leading column matches no
+// predicate and which does not cover costs at least that, because its
+// pages only add ixPages*seqPageCost >= 0 to the first sum and IEEE-754
+// addition is monotone in each operand.
+func (st *skelTable) scanCost(matchedSel float64, nMatched int, covering bool, ixPages float64) (float64, NodeType) {
 	matchRows := float64(st.t.Rows) * matchedSel
 	if matchRows < 1 {
 		matchRows = 1
 	}
-	ixPages := ix.SizeBytes(s) / schema.PageSize
 	cost := st.descent +
 		matchedSel*ixPages*seqPageCost +
 		matchRows*cpuIndexCost
@@ -527,23 +543,34 @@ type choice struct {
 	flip  bool // nested loop with the split's s2 as the outer input
 }
 
-// plan picks access paths and runs the join DP over the skeleton for
-// one configuration. Candidates are compared in the order, and with the
-// strict <, that makes ties resolve to the earliest: per table the
-// sequential scan, then indexes in cfg order; per subset its splits in
-// DP order, and per split hash join, merge join, then nested loops with
-// outer s1 and s2.
-func (sk *skeleton) plan(s *schema.Schema, cfg schema.Config) *PlanNode {
+// planScratch is one plan call's working memory: a choice per DP slot
+// and, per join side, the first index in cfg that serves it. The cost
+// path keeps one in its pooled key buffer, so pricing a miss allocates
+// no scratch.
+type planScratch struct {
+	ch     []choice
+	sideIx []int
+}
+
+// choose picks access paths and runs the join DP over the skeleton for
+// one configuration, returning every slot's choice and, for a
+// single-table query, the cheapest scan that provides the wanted order
+// (ix -1 when none does). Candidates are compared in the order, and
+// with the strict <, that makes ties resolve to the earliest: per table
+// the sequential scan, then indexes in cfg order; per subset its splits
+// in DP order, and per split hash join, merge join, then nested loops
+// with outer s1 and s2.
+func (sk *skeleton) choose(s *schema.Schema, cfg schema.Config, ps *planScratch) ([]choice, choice) {
 	n := len(sk.tables)
-	ch := make([]choice, len(sk.slots))
+	ch := resize(ps.ch, len(sk.slots))
 	for i := range sk.tables {
 		ch[i] = choice{cost: sk.tables[i].seqCost, typ: SeqScan, ix: -1}
 	}
-	// sideIx[d] is the first index in cfg that serves join side d.
-	sideIx := make([]int, len(sk.sides))
+	sideIx := resize(ps.sideIx, len(sk.sides))
 	for d := range sideIx {
 		sideIx[d] = -1
 	}
+	ps.ch, ps.sideIx = ch, sideIx
 	ordered := choice{ix: -1}
 	for k := range cfg {
 		ix := &cfg[k]
@@ -566,17 +593,6 @@ func (sk *skeleton) plan(s *schema.Schema, cfg schema.Config) *PlanNode {
 			}
 		}
 	}
-	if n == 1 {
-		main := sk.fin.finish(sk.node(ch, cfg, 0), orderOf(ch[0], cfg))
-		if ordered.ix >= 0 && !providesOrder(orderOf(ch[0], cfg), sk.wantOrder) {
-			alt := sk.fin.finish(sk.scanNode(0, ordered, cfg), cfg[ordered.ix].Columns)
-			if alt.Cost < main.Cost {
-				return alt
-			}
-		}
-		return main
-	}
-
 	for k, splits := range sk.joins {
 		slot := n + k
 		rows := sk.slots[slot].rows
@@ -616,6 +632,31 @@ func (sk *skeleton) plan(s *schema.Schema, cfg schema.Config) *PlanNode {
 		}
 		ch[slot] = best
 	}
+	return ch, ordered
+}
+
+// resize returns buf with length n, reusing its array when it is large
+// enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// plan builds the cheapest plan tree for one configuration.
+func (sk *skeleton) plan(s *schema.Schema, cfg schema.Config, ps *planScratch) *PlanNode {
+	ch, ordered := sk.choose(s, cfg, ps)
+	if len(sk.tables) == 1 {
+		main := sk.fin.finish(sk.node(ch, cfg, 0), orderOf(ch[0], cfg))
+		if ordered.ix >= 0 && !providesOrder(orderOf(ch[0], cfg), sk.wantOrder) {
+			alt := sk.fin.finish(sk.scanNode(0, ordered, cfg), cfg[ordered.ix].Columns)
+			if alt.Cost < main.Cost {
+				return alt
+			}
+		}
+		return main
+	}
 	if sk.root >= 0 {
 		return sk.fin.finish(sk.node(ch, cfg, sk.root), nil)
 	}
@@ -625,6 +666,33 @@ func (sk *skeleton) plan(s *schema.Schema, cfg schema.Config) *PlanNode {
 		cur = newNode(NestLoop, cur.Cost+part.Cost+step.cost, step.rows, cur, part)
 	}
 	return sk.fin.finish(cur, nil)
+}
+
+// planCost returns plan(s, cfg).Cost bit for bit without building a
+// node: the same choices, and the arithmetic plan's nodes carry out on
+// each (cost, rows) pair. A DP slot's node costs its choice's cost and
+// has the slot's rows.
+func (sk *skeleton) planCost(s *schema.Schema, cfg schema.Config, ps *planScratch) float64 {
+	ch, ordered := sk.choose(s, cfg, ps)
+	if len(sk.tables) == 1 {
+		rows := sk.slots[0].rows
+		main := sk.fin.finishCost(ch[0].cost, rows, orderOf(ch[0], cfg))
+		if ordered.ix >= 0 && !providesOrder(orderOf(ch[0], cfg), sk.wantOrder) {
+			if alt := sk.fin.finishCost(ordered.cost, rows, cfg[ordered.ix].Columns); alt < main {
+				return alt
+			}
+		}
+		return main
+	}
+	if sk.root >= 0 {
+		return sk.fin.finishCost(ch[sk.root].cost, sk.slots[sk.root].rows, nil)
+	}
+	first := sk.cross[0].slot
+	cost, rows := ch[first].cost, sk.slots[first].rows
+	for _, step := range sk.cross[1:] {
+		cost, rows = cost+ch[step.slot].cost+step.cost, step.rows
+	}
+	return sk.fin.finishCost(cost, rows, nil)
 }
 
 // orderOf is the output order of a table scan: its index's columns.
@@ -720,4 +788,46 @@ func (f *finishSkel) finish(input *PlanNode, inputOrder []string) *PlanNode {
 		plan = newNode(Sort, plan.Cost+sortCost(rows), rows, plan)
 	}
 	return plan
+}
+
+// finishCost is finish on the input's (cost, rows) alone: it returns
+// finish's root cost bit for bit, with every operand in finish's order.
+// The input's order matters only while no operator sits on top of it.
+func (f *finishSkel) finishCost(cost, rows float64, inputOrder []string) float64 {
+	bare := f.topTerms == 0 // the input is still the plan's root
+	if f.topTerms > 0 {
+		cost = cost + rows*float64(f.topTerms)*cpuOpCost
+		rows = math.Max(1, rows*f.topSel)
+	}
+	sorted := func(want []string) bool {
+		return want != nil && bare && providesOrder(inputOrder, want)
+	}
+
+	if f.groupBy {
+		groups := math.Min(f.groups, rows)
+		if groups < 1 {
+			groups = 1
+		}
+		if sorted(f.groupOrder) {
+			cost = cost + rows*cpuTupleCost + groups*cpuTupleCost
+		} else {
+			cost = cost + rows*cpuTupleCost*1.2 + groups*cpuTupleCost
+		}
+		in := rows
+		rows = groups
+		if f.having {
+			rows = math.Max(1, rows/3)
+			cost += in * cpuOpCost
+		}
+		bare = false
+	} else if f.agg {
+		cost = cost + rows*cpuTupleCost
+		rows = 1
+		bare = false
+	}
+
+	if f.orderBy && rows > 1 && (f.groupBy || !sorted(f.orderOrder)) {
+		cost = cost + sortCost(rows)
+	}
+	return cost
 }

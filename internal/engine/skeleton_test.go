@@ -39,48 +39,103 @@ type benchSchema struct {
 var modes = []engine.Mode{engine.ModeEstimated, engine.ModeTrue}
 
 // checkAgainstReference plans every query under every configuration in
-// both modes and compares each plan with the reference planner's. The
-// plan-cache path is compared by cost only: its key sorts each table's
-// indexes, so configurations that differ only in index order share one
-// entry, whose tree may name another index serving a nested loop at the
-// same cost.
-func checkAgainstReference(t *testing.T, e *engine.Engine, qs []*sqlx.Query, cfgs []schema.Config) int {
+// both modes and checks each result against the reference planner's
+// (checkPlan). Each (query, configuration) is checked once more with
+// indexes the inert rule leaves out of the cache keys inserted at random
+// positions, before or after the original: the variant's cached cost and
+// tree come from the entry the two share, and must still be fresh
+// planning's for the variant. It returns the number of plans checked and
+// of inert indexes inserted.
+func checkAgainstReference(t *testing.T, e *engine.Engine, s *schema.Schema, r *rand.Rand, qs []*sqlx.Query, cfgs []schema.Config) (plans, inert int) {
 	t.Helper()
-	plans := 0
 	for qi, q := range qs {
 		for ci, cfg := range cfgs {
-			for _, mode := range modes {
-				want, wantErr := e.RefPlan(q, cfg, mode)
-				got, err := e.PlanUncached(q, cfg, mode)
-				if d := engine.DiffResults(got, err, want, wantErr); d != "" {
-					t.Fatalf("query %d, config %d (%v), %s mode: %s\nquery: %s\ngot:\n%v\nwant:\n%v",
-						qi, ci, cfg, mode, d, q, got, want)
+			variant, n := inertVariant(r, e, s, q, cfg)
+			inert += n
+			order := []schema.Config{cfg, variant}
+			if r.Intn(2) == 0 {
+				order[0], order[1] = variant, cfg
+			}
+			for _, c := range order {
+				for _, mode := range modes {
+					checkPlan(t, e, q, c, mode, fmt.Sprintf("query %d, config %d (%v)", qi, ci, c))
+					plans++
 				}
-				cost, err := e.QueryCost(q, cfg, mode)
-				if wantErr != nil {
-					if err == nil {
-						t.Fatalf("cached cost, query %d, config %d, %s mode: no error, want %v", qi, ci, mode, wantErr)
-					}
-				} else if err != nil || math.Float64bits(cost) != math.Float64bits(want.Cost) {
-					t.Fatalf("cached cost, query %d, config %d, %s mode: %v (%v), want %v\nquery: %s",
-						qi, ci, mode, cost, err, want.Cost, q)
-				}
-				plans++
 			}
 		}
 	}
-	return plans
+	return plans, inert
+}
+
+// checkPlan compares the uncached tree, the cost path's planCost, the
+// cached cost and the cached tree of q under cfg with the reference
+// planner's plan: trees node by node, costs by bits, errors by text.
+func checkPlan(t *testing.T, e *engine.Engine, q *sqlx.Query, cfg schema.Config, mode engine.Mode, what string) {
+	t.Helper()
+	want, wantErr := e.RefPlan(q, cfg, mode)
+	got, err := e.PlanUncached(q, cfg, mode)
+	if d := engine.DiffResults(got, err, want, wantErr); d != "" {
+		t.Fatalf("%s, %s mode: %s\nquery: %s\ngot:\n%v\nwant:\n%v", what, mode, d, q, got, want)
+	}
+	costs := map[string]func() (float64, error){
+		"planCost":    func() (float64, error) { return e.PlanCostUncached(q, cfg, mode) },
+		"cached cost": func() (float64, error) { return e.QueryCost(q, cfg, mode) },
+	}
+	for name, cost := range costs {
+		c, err := cost()
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s, %s, %s mode: error %v, want %v", name, what, mode, err, wantErr)
+			}
+		} else if err != nil || math.Float64bits(c) != math.Float64bits(want.Cost) {
+			t.Fatalf("%s, %s, %s mode: %v (%v), want %v\nquery: %s", name, what, mode, c, err, want.Cost, q)
+		}
+	}
+	cached, err := e.Plan(q, cfg, mode)
+	if d := engine.DiffResults(cached, err, want, wantErr); d != "" {
+		t.Fatalf("cached tree, %s, %s mode: %s\nquery: %s\ngot:\n%v\nwant:\n%v", what, mode, d, q, cached, want)
+	}
+}
+
+// inertVariant returns cfg with up to three random indexes on q's
+// tables inserted at random positions, each one the inert rule leaves
+// out of q's cache keys, and how many it inserted.
+func inertVariant(r *rand.Rand, e *engine.Engine, s *schema.Schema, q *sqlx.Query, cfg schema.Config) (schema.Config, int) {
+	variant := cfg.Clone()
+	n := 0
+	for try := 0; try < 6 && n < 3; try++ {
+		ix := randomIndexOn(r, s, q)
+		if !e.Inert(q, schema.Config{ix})[0] {
+			continue
+		}
+		at := r.Intn(len(variant) + 1)
+		variant = append(variant[:at], append(schema.Config{ix}, variant[at:]...)...)
+		n++
+	}
+	return variant, n
+}
+
+// randomIndexOn draws a 1- or 2-column index on one of q's tables.
+func randomIndexOn(r *rand.Rand, s *schema.Schema, q *sqlx.Query) schema.Index {
+	tables := q.Tables()
+	tb := s.Table(tables[r.Intn(len(tables))])
+	ix := schema.Index{Table: tb.Name, Columns: []string{tb.Columns[r.Intn(len(tb.Columns))].Name}}
+	if c := tb.Columns[r.Intn(len(tb.Columns))].Name; r.Intn(2) == 0 && c != ix.Columns[0] {
+		ix.Columns = append(ix.Columns, c)
+	}
+	return ix
 }
 
 // TestPlanMatchesReference is the skeleton planner's bit-identity gate:
 // generated and perturbed workloads on all three schemas, several
-// generator seeds, random configurations, both modes.
+// generator seeds, random configurations, both modes, each configuration
+// also with inert indexes inserted.
 func TestPlanMatchesReference(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	plans := 0
+	plans, inert := 0, 0
 	for _, bs := range benchSchemas() {
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", bs.name, seed), func(t *testing.T) {
@@ -90,15 +145,79 @@ func TestPlanMatchesReference(t *testing.T) {
 				for len(cfgs) < 24 {
 					cfgs = append(cfgs, randomConfig(r, bs.s, qs))
 				}
-				plans += checkAgainstReference(t, bs.e, qs, cfgs)
+				p, n := checkAgainstReference(t, bs.e, bs.s, r, qs, cfgs)
+				plans += p
+				inert += n
 			})
 		}
 	}
-	t.Logf("%d plans identical to the reference", plans)
+	if inert == 0 {
+		t.Fatal("no inert index was inserted; the variants prove nothing")
+	}
+	t.Logf("%d plans identical to the reference, %d inert indexes inserted", plans, inert)
 }
+
+// TestInertIndexNeverInPlan: no index the inert rule leaves out of the
+// cache keys appears in a fresh plan of the generated sets, in either
+// mode, under configurations padded with random indexes on each query's
+// tables.
+func TestInertIndexNeverInPlan(t *testing.T) {
+	inert, kept := 0, 0
+	for _, bs := range benchSchemas() {
+		for _, seed := range []int64{1, 2, 3} {
+			qs := genQueries(bs.s, seed, 48)
+			r := rand.New(rand.NewSource(seed))
+			cfgs := []schema.Config{nil}
+			for len(cfgs) < 16 {
+				cfgs = append(cfgs, randomConfig(r, bs.s, qs))
+			}
+			for _, q := range qs {
+				for _, cfg := range cfgs {
+					cfg = cfg.Clone()
+					for i := 0; i < 4; i++ {
+						cfg = append(cfg, randomIndexOn(r, bs.s, q))
+					}
+					verdicts := bs.e.Inert(q, cfg)
+					for _, mode := range modes {
+						p, err := bs.e.PlanUncached(q, cfg, mode)
+						if err != nil {
+							continue
+						}
+						used := map[string]bool{}
+						p.Walk(func(n *engine.PlanNode) {
+							if n.Index != nil {
+								used[n.Index.Key()] = true
+							}
+						})
+						for k, ix := range cfg {
+							if !verdicts[k] {
+								kept++
+								continue
+							}
+							inert++
+							if used[ix.Key()] {
+								t.Fatalf("%s mode: inert index %s is in the plan of %s under %v:\n%v", mode, ix.Key(), q, cfg, p)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if inert == 0 || kept == 0 {
+		t.Fatalf("%d inert and %d kept verdicts; the test proves nothing", inert, kept)
+	}
+	t.Logf("%d inert verdicts, none in a plan; %d indexes kept", inert, kept)
+}
+
+// exactTreeSQL joins one customer to its orders by nested loop.
+const exactTreeSQL = "SELECT customer.c_name, orders.o_totalprice FROM customer, orders " +
+	"WHERE customer.c_custkey = orders.o_custkey AND customer.c_custkey = 7"
 
 // TestPlanMatchesReferenceHandPicked pins branches generated workloads
 // rarely reach; each case's root operator proves its branch was taken.
+// The cases share one engine and run in order, so a case's cached plan
+// may come from an entry an earlier case filled.
 func TestPlanMatchesReferenceHandPicked(t *testing.T) {
 	e := benchSchemas()[0].e
 	cases := []struct {
@@ -107,7 +226,11 @@ func TestPlanMatchesReferenceHandPicked(t *testing.T) {
 		root engine.NodeType
 	}{
 		// A full index scan in ORDER BY order beats the cheapest scan
-		// plus a sort.
+		// plus a sort. The index matches no predicate and does not
+		// cover, so only the order it provides keeps it in the cache
+		// key: planned after the query without it, it must not get
+		// that plan.
+		{"SELECT lineitem.l_comment FROM lineitem ORDER BY lineitem.l_shipdate", nil, engine.Sort},
 		{"SELECT lineitem.l_comment FROM lineitem ORDER BY lineitem.l_shipdate",
 			schema.Config{{Table: "lineitem", Columns: []string{"l_shipdate"}}}, engine.IndexScan},
 		// Sorted input turns GROUP BY into a GroupAggregate.
@@ -118,15 +241,24 @@ func TestPlanMatchesReferenceHandPicked(t *testing.T) {
 		{"SELECT COUNT(orders.o_orderkey) FROM orders HAVING COUNT(orders.o_orderkey) > 5", nil, engine.GroupAggregate},
 		// No join predicate: the cross-product fallback.
 		{"SELECT nation.n_name, region.r_name FROM nation, region", nil, engine.NestLoop},
+		// The nested loop looks orders up through the first index in cfg
+		// order led by o_custkey, so the two orders of one configuration
+		// plan different trees at one cost; the second must not be served
+		// the first's cached tree.
+		{exactTreeSQL, schema.Config{
+			{Table: "orders", Columns: []string{"o_custkey", "o_orderdate"}},
+			{Table: "orders", Columns: []string{"o_custkey"}},
+		}, engine.NestLoop},
+		{exactTreeSQL, schema.Config{
+			{Table: "orders", Columns: []string{"o_custkey"}},
+			{Table: "orders", Columns: []string{"o_custkey", "o_orderdate"}},
+		}, engine.NestLoop},
 	}
 	for _, c := range cases {
 		q := sqlx.MustParse(c.sql)
 		for _, mode := range modes {
-			want, wantErr := e.RefPlan(q, c.cfg, mode)
-			got, err := e.PlanUncached(q, c.cfg, mode)
-			if d := engine.DiffResults(got, err, want, wantErr); d != "" {
-				t.Fatalf("%s, %s mode: %s", c.sql, mode, d)
-			}
+			checkPlan(t, e, q, c.cfg, mode, c.sql)
+			got, _ := e.PlanUncached(q, c.cfg, mode)
 			if got.Type != c.root {
 				t.Errorf("%s, %s mode: root %s, want %s:\n%v", c.sql, mode, got.Type, c.root, got)
 			}
@@ -190,7 +322,7 @@ func FuzzPlanMatchesReference(f *testing.F) {
 		qs := genQueries(bs.s, genSeed, 8)
 		r := rand.New(rand.NewSource(cfgSeed))
 		cfgs := []schema.Config{randomConfig(r, bs.s, qs), randomConfig(r, bs.s, qs), randomConfig(r, bs.s, qs)}
-		checkAgainstReference(t, bs.e, qs, cfgs)
+		checkAgainstReference(t, bs.e, bs.s, r, qs, cfgs)
 	})
 }
 
