@@ -133,11 +133,6 @@ go test -run='^$' -bench='ScoreCandidates|SWIRLTrain' -benchtime=1x -timeout 120
 # One training run of the learned utility model's recipe at both sample
 # counts: the GBDT builder is most of every suite's set-up.
 go test -run='^$' -bench=Train -benchtime=1x -timeout 120s ./internal/gbdt
-# Telemetry allocation gates: the disabled path (no scope in context)
-# and the enabled steady-state append must both stay zero-alloc, so
-# instrumented hot loops cost nothing when nobody is looking.
-go test -run='^$' -bench=Telemetry -benchtime=100x -timeout 120s ./internal/telemetry
-go test -timeout 120s -count=1 -run 'TestAppendZeroAlloc' ./internal/telemetry
 
 echo "== fault-injection smoke =="
 # Drive the deterministic fault harness end to end: panic isolation, an
@@ -201,13 +196,16 @@ go test -race -timeout 300s -count=1 \
 echo "== telemetry smoke =="
 # The observability surface end to end: a real TRAP assessment must
 # yield training/attack series over /v1/jobs/{id}/telemetry (JSON and
-# CSV) with monotonic steps and per-epoch SSE telemetry events; a job
-# held in pretraining, RL training and measurement must show its job
-# and layer pprof labels on /debug/pprof/goroutine, and leave no
-# goroutine labelled once done; and /version must report the build
-# provenance.
+# CSV) with monotonic steps and per-epoch SSE telemetry events; the
+# training series and each telemetry event must be its epoch spans'
+# attributes bit for bit, and the attack series must end at the
+# result's pair counts; a job with no epochs and no pairs must list no
+# series; a job held in pretraining, RL training and measurement must
+# show its job and layer pprof labels on /debug/pprof/goroutine, and
+# leave no goroutine labelled once done; and /version must report the
+# build provenance.
 go test -race -timeout 600s -count=1 \
-    -run 'TestJobTelemetryEndToEnd|TestJobProfileLabels|TestVersionEndpoint' \
+    -run 'TestJobTelemetryEndToEnd|TestJobTelemetryListsRecordedSeries|TestJobTelemetryMatchesTrace|TestJobProfileLabels|TestVersionEndpoint' \
     ./internal/service
 
 echo "ci: all green"

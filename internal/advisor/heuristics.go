@@ -259,12 +259,21 @@ func (a *Drop) Name() string { return "Drop" }
 func (a *Drop) Recommend(e *engine.Engine, w *workload.Workload, c Constraint) (schema.Config, error) {
 	s := e.Schema()
 	cfg := schema.Config(Candidates(s, w, Options{MultiColumn: false}))
+	// Each probe is cfg.Remove(cfg[i]), filtered into one reused slice:
+	// the cost path keeps no reference to a configuration it prices.
+	probe := make(schema.Config, 0, len(cfg))
 	for len(cfg) > 0 {
 		cur := WhatIfCost(e, w, cfg)
 		var worst *schema.Index
 		worstPenalty := 0.0
 		for i := range cfg {
-			penalty := WhatIfCost(e, w, cfg.Remove(cfg[i])) - cur
+			probe = probe[:0]
+			for _, x := range cfg {
+				if !x.Equal(cfg[i]) {
+					probe = append(probe, x)
+				}
+			}
+			penalty := WhatIfCost(e, w, probe) - cur
 			if worst == nil || penalty < worstPenalty {
 				worst = &cfg[i]
 				worstPenalty = penalty

@@ -6,7 +6,6 @@ import (
 	"github.com/trap-repro/trap/internal/advisor"
 	"github.com/trap-repro/trap/internal/par"
 	"github.com/trap-repro/trap/internal/schema"
-	"github.com/trap-repro/trap/internal/telemetry"
 	"github.com/trap-repro/trap/internal/trace"
 	"github.com/trap-repro/trap/internal/workload"
 )
@@ -134,55 +133,8 @@ func (s *Suite) MeasureOn(ctx context.Context, m *Method, adv advisor.Advisor, b
 	}
 	out := &Assessment{}
 	var sum float64
-	// Attack telemetry rides the deterministic reduce, not the parallel
-	// cells: pairs are replayed strictly in workload order here, so the
-	// recorded trajectory is bit-identical for every measurement worker
-	// count. tele is nil on an uninstrumented context, making the whole
-	// block free when telemetry is off.
-	tele := telemetry.FromContext(ctx)
-	var (
-		seq                int64 // candidate sequence number across all cells
-		prior              int64 // candidates recorded by earlier Measure calls
-		accepted, rejected float64
-		best               float64 // best-so-far IUDR (the regression curve)
-	)
-	if tele != nil {
-		// A scope shared by several Measure calls continues one
-		// trajectory: resume the counters from where the last call left
-		// off.
-		prior = tele.Series("attack_accepted").Count()
-		if p, ok := tele.Series("attack_accepted").Latest(); ok {
-			accepted = p.Value
-		}
-		if p, ok := tele.Series("attack_rejected").Latest(); ok {
-			rejected = p.Value
-		}
-		if p, ok := tele.Series("attack_best_iudr").Latest(); ok {
-			best = p.Value
-		}
-	}
 	for i := range cells {
 		c := &cells[i]
-		if tele != nil {
-			for _, p := range c.pairs {
-				seq++
-				step := prior + seq
-				if p.NonSargable {
-					// A non-sargable variant is a rejected action: it can
-					// never demonstrate index-utility degradation.
-					rejected++
-				} else {
-					accepted++
-					tele.Series("attack_cost_delta").Append(step, p.U-p.UPert)
-					if p.IUDR > best {
-						best = p.IUDR
-					}
-					tele.Series("attack_best_iudr").Append(step, best)
-				}
-				tele.Series("attack_accepted").Append(step, accepted)
-				tele.Series("attack_rejected").Append(step, rejected)
-			}
-		}
 		out.Pairs = append(out.Pairs, c.pairs...)
 		if c.n > 0 {
 			sum += c.sum / float64(c.n)

@@ -15,7 +15,6 @@ import (
 	"github.com/trap-repro/trap/internal/par"
 	"github.com/trap-repro/trap/internal/schema"
 	"github.com/trap-repro/trap/internal/sqlx"
-	"github.com/trap-repro/trap/internal/telemetry"
 	"github.com/trap-repro/trap/internal/trace"
 	"github.com/trap-repro/trap/internal/workload"
 )
@@ -220,9 +219,8 @@ func (f *Framework) Pretrain(ctx context.Context, gen *workload.Generator, pairs
 		if steps > 0 {
 			mean := total / float64(steps)
 			losses = append(losses, mean)
-			esp.Float("mean_loss", mean)
+			esp.Float("pretrain_loss", mean)
 			esp.Int("steps", int64(steps))
-			telemetry.FromContext(ctx).Series("pretrain_loss").Append(int64(ep+1), mean)
 		}
 		esp.End()
 	}
@@ -361,12 +359,13 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 		batch = 1
 	}
 	workers := f.rolloutWorkers()
-	// Per-epoch training telemetry. tele is nil on an uninstrumented
-	// context and every accumulation below is gated on that, so the
-	// disabled path pays nothing — the rollout allocation budget and the
-	// scaling gates run uninstrumented. The reduce below is sequential,
-	// so the accumulators need no locking.
-	tele := telemetry.FromContext(ctx)
+	// Per-epoch training statistics, recorded as float attributes of
+	// each rl.epoch span under their series names. They are accumulated
+	// only when the run is traced, so the untraced path pays nothing:
+	// the rollout allocation budget and the scaling gates train
+	// untraced. The reduce below is sequential, so the accumulators
+	// need no locking.
+	stats := tsp != nil
 	type epStats struct {
 		loss     float64 // advantage-weighted cross-entropy, summed
 		steps    int     // decode steps the loss covered
@@ -468,7 +467,7 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 		for b := range rolls {
 			ro := &rolls[b]
 			if rerr == nil && ro.ok {
-				if tele != nil {
+				if stats {
 					// Policy entropy, no-grad: Softmax into a reused
 					// scratch slice so instrumentation adds no steady-state
 					// allocation to the reduce.
@@ -489,7 +488,7 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 				if advantage != 0 {
 					for _, st := range ro.steps {
 						l := nn.CrossEntropy(st.Logits, st.Chosen, advantage)
-						if tele != nil {
+						if stats {
 							tstats.loss += l
 							tstats.steps++
 						}
@@ -515,13 +514,13 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 		}
 		if updated {
 			norm := params.ClipGrads(5)
-			if tele != nil {
+			if stats {
 				tstats.gradNorm += norm
 				tstats.updates++
 			}
 			opt.Step(params)
 		}
-		if tele != nil {
+		if stats {
 			tstats.ok += n
 			tstats.rolls += batch
 		}
@@ -566,31 +565,27 @@ func (f *Framework) RLTrain(ctx context.Context, e *engine.Engine, adv advisor.A
 		} else {
 			rewards = append(rewards, 0)
 		}
-		esp.Float("mean_reward", rewards[len(rewards)-1])
-		if tele != nil {
-			// Steps are 1-based epoch numbers, so a checkpoint-resumed run
-			// (StartEpoch > 0) continues every series monotonically.
-			es := int64(ep + 1)
-			mean := rewards[len(rewards)-1]
-			tele.Series("rl_mean_reward").Append(es, mean)
+		mean := rewards[len(rewards)-1]
+		esp.Float("rl_mean_reward", mean)
+		if stats {
 			if n > 0 {
 				v := tstats.rsumsq/float64(n) - mean*mean
 				if v < 0 {
 					v = 0
 				}
-				tele.Series("rl_reward_var").Append(es, v)
+				esp.Float("rl_reward_var", v)
 			}
 			if tstats.steps > 0 {
-				tele.Series("rl_loss").Append(es, tstats.loss/float64(tstats.steps))
+				esp.Float("rl_loss", tstats.loss/float64(tstats.steps))
 			}
 			if tstats.updates > 0 {
-				tele.Series("rl_grad_norm").Append(es, tstats.gradNorm/float64(tstats.updates))
+				esp.Float("rl_grad_norm", tstats.gradNorm/float64(tstats.updates))
 			}
 			if tstats.entSteps > 0 {
-				tele.Series("rl_entropy").Append(es, tstats.entropy/float64(tstats.entSteps))
+				esp.Float("rl_entropy", tstats.entropy/float64(tstats.entSteps))
 			}
 			if tstats.rolls > 0 {
-				tele.Series("rl_rollout_ok_ratio").Append(es, float64(tstats.ok)/float64(tstats.rolls))
+				esp.Float("rl_rollout_ok_ratio", float64(tstats.ok)/float64(tstats.rolls))
 			}
 			tstats = epStats{}
 		}

@@ -29,8 +29,9 @@ type JobEvent struct {
 	Error string `json:"error,omitempty"`
 	// Result accompanies the "result" event of a successful job.
 	Result *JobResult `json:"result,omitempty"`
-	// Points accompanies "telemetry" events: the epoch's training-series
-	// values (rl_loss, rl_mean_reward, ...) keyed by series name.
+	// Points accompanies "telemetry" events: the rl_* attributes of the
+	// epoch's rl.epoch span (rl_loss, rl_mean_reward, ...), keyed by
+	// series name.
 	Points map[string]float64 `json:"points,omitempty"`
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/trap-repro/trap/internal/admission"
-	"github.com/trap-repro/trap/internal/telemetry"
 )
 
 // JobStatus is the lifecycle state of an async assessment job.
@@ -108,14 +107,16 @@ func (j *Job) priority() admission.Priority {
 
 // jobEntry is everything the server holds for one job: the job itself,
 // its SSE progress stream, its telemetry series and, while it runs, the
-// cancel function of its run. hub and scope are fixed at creation (and
-// safe for concurrent use on their own); job and cancel are guarded by
-// the store's lock.
+// cancel function of its run. hub is fixed at creation (and safe for
+// concurrent use on its own); job and cancel are guarded by the store's
+// lock, series by the entry's own.
 type jobEntry struct {
 	job    Job
 	cancel context.CancelFunc // non-nil while the job runs
 	hub    *jobHub
-	scope  *telemetry.Scope
+
+	mu     sync.Mutex
+	series map[string][]point // by series name; see telemetry.go
 }
 
 // jobStore is the concurrency-safe job table: one entry per live job.
@@ -131,7 +132,7 @@ func newJobStore() *jobStore {
 
 // add registers an entry for j, its stream opened at j's state.
 func (s *jobStore) add(j Job) {
-	e := &jobEntry{job: j, hub: newJobHub(), scope: telemetry.NewScope()}
+	e := &jobEntry{job: j, hub: newJobHub(), series: map[string][]point{}}
 	e.hub.publishState(j)
 	s.mu.Lock()
 	s.jobs[j.ID] = e

@@ -70,7 +70,6 @@ import (
 	"github.com/trap-repro/trap/internal/joblog"
 	"github.com/trap-repro/trap/internal/obs"
 	olog "github.com/trap-repro/trap/internal/obs/log"
-	"github.com/trap-repro/trap/internal/telemetry"
 	"github.com/trap-repro/trap/internal/trace"
 )
 
@@ -700,10 +699,6 @@ func (s *Server) runJob(id string) {
 		return
 	}
 	s.publishState(id)
-	// The training and attack loops below append their per-epoch /
-	// per-step series into the job's telemetry scope through the context;
-	// GET /v1/jobs/{id}/telemetry serves it.
-	ctx = telemetry.NewContext(ctx, e.scope)
 	// Root span of the job's trace: every span the assessment pipeline
 	// opens below (advisor/method builds, training epochs, measurement
 	// cells, cost batches) nests under it, and every log line carries the
@@ -723,7 +718,7 @@ func (s *Server) runJob(id string) {
 	var res *JobResult
 	var err error
 	pprof.Do(ctx, pprof.Labels("job", id), func(ctx context.Context) {
-		res, err = s.runAssessment(ctx, j)
+		res, err = s.runAssessment(ctx, j, e)
 	})
 	var pe *panicError
 	isPanic := errors.As(err, &pe)
@@ -789,7 +784,9 @@ func (s *Server) runJob(id string) {
 // trapd_span_seconds{span=<name>}. The spans that mark progress also
 // stream it to the job's SSE subscribers: a finished measurement cell
 // as a "cell" event, and a completed RL epoch as an "epoch" event
-// followed by the epoch's rl_* "telemetry" event.
+// followed by a "telemetry" event carrying the epoch span's rl_*
+// attributes. Those attributes, and a completed pretraining epoch's
+// pretrain_loss, are also the points of the job's training series.
 func (s *Server) jobObserver(e *jobEntry) func(trace.SpanEnd) {
 	return func(se trace.SpanEnd) {
 		s.spanSeconds(se.Name).ObserveDuration(se.Dur)
@@ -801,10 +798,14 @@ func (s *Server) jobObserver(e *jobEntry) func(trace.SpanEnd) {
 			}
 			ev.Pairs, _ = intAttr(se.Attrs, "pairs")
 			e.hub.publish(ev)
+		case se.Name == "pretrain.epoch" && se.Err == "":
+			ep, _ := intAttr(se.Attrs, "epoch")
+			e.addPoints(int64(ep+1), floatAttrs(se.Attrs))
 		case se.Name == "rl.epoch" && se.Err == "":
 			ep, _ := intAttr(se.Attrs, "epoch")
 			e.hub.publish(JobEvent{Type: evEpoch, Epoch: ep + 1})
-			if pts := rlPoints(e.scope); len(pts) > 0 {
+			if pts := floatAttrs(se.Attrs); len(pts) > 0 {
+				e.addPoints(int64(ep+1), pts)
 				e.hub.publish(JobEvent{Type: evTelemetry, Epoch: ep + 1, Points: pts})
 			}
 		}
@@ -833,12 +834,13 @@ func intAttr(attrs []trace.Attr, key string) (int, bool) {
 }
 
 // runAssessment trains the method against the advisor and measures IUDR
-// over the suite's test workloads under the job's context. Every stage
+// over the suite's test workloads under the job's context, and records
+// the measured pairs as the job entry's attack series. Every stage
 // is context-aware and stops at its next epoch, episode, workload or
 // pair boundary on cancellation (RL advisor training included, via
 // BuildAdvisorCtx). A panic anywhere in the assessment is captured as a
 // *panicError return.
-func (s *Server) runAssessment(ctx context.Context, j Job) (res *JobResult, err error) {
+func (s *Server) runAssessment(ctx context.Context, j Job, e *jobEntry) (res *JobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &panicError{val: r, stack: debug.Stack()}
@@ -891,6 +893,7 @@ func (s *Server) runAssessment(ctx context.Context, j Job) (res *JobResult, err 
 	if err != nil {
 		return nil, fmt.Errorf("measuring: %w", err)
 	}
+	e.addAttack(rep.Pairs)
 	res = &JobResult{MeanIUDR: rep.MeanIUDR, Workloads: rep.N, Pairs: len(rep.Pairs)}
 	for _, p := range rep.Pairs {
 		if p.NonSargable {
